@@ -22,6 +22,17 @@ EXIT_INVALID = 2
 EXIT_UNDECIDED = 3
 
 
+def _order_value(cls: taxonomy.Classification):
+    """The order, or its formula when it is too long to print in decimal."""
+    if cls.order is None:
+        return None
+    try:
+        str(cls.order)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        return taxonomy.order_formula(cls.n)
+    return cls.order
+
+
 def _classification_report(cls: taxonomy.Classification) -> dict:
     return {
         "command": "classify",
@@ -31,7 +42,7 @@ def _classification_report(cls: taxonomy.Classification) -> dict:
         "d": cls.d,
         "conditions": {"A": cls.conditions.A, "B": cls.conditions.B, "C": cls.conditions.C},
         "finite": cls.finite,
-        "order": cls.order,
+        "order": _order_value(cls),
         "ca": cls.ca,
         "free_shift": cls.free_shift,
         "theta_fixed": cls.theta_fixed,
@@ -45,7 +56,7 @@ def _print_classification(cls: taxonomy.Classification):
     cond = cls.conditions
     print(f"G_{cls.n}({cls.k},{cls.l})  [branch: {cls.branch}]")
     print(f"  gcd(n,k,l) = {cls.d}; conditions: A={cond.A} B={cond.B} C={cond.C}")
-    order = f" of order {cls.order}" if cls.order is not None else ""
+    order = f" of order {_order_value(cls)}" if cls.order is not None else ""
     print(f"  finite: {cls.finite}{order}")
     print(f"  combinatorially aspherical: {cls.ca}")
     print(f"  shift acts freely on nonidentity elements: {cls.free_shift}")

@@ -14,6 +14,17 @@ deductions exhaustively.  Completed tables are standardized (renumbered
 in first-visit order, columns scanned in declared generator order), so
 both strategies expose bit-for-bit identical results.
 
+Before either strategy runs, relators are shortened modulo the power
+relators among them.  For each generator g, the shortest relator of the
+form g^m (or G^m) is kept, and in every other relator each maximal run
+of g and G is replaced by g^e with its net exponent e reduced into
+(-m/2, m/2] (so ``a^{n-1}`` becomes ``A`` given ``a^n``).  Each such
+step multiplies a relator by a conjugate of g^{+-m}, which leaves the
+group and the subgroup unchanged; since standardized tables are
+canonical, the tables returned do not change either, only the work
+spent reaching them.  Completed tables are audited against the caller's
+relators, never the shortened ones.
+
 Presentation text format::
 
     gens: b u
@@ -25,7 +36,8 @@ Presentation text format::
 
 Word tokens are whitespace separated: a generator name for the
 generator, its capitalized form for the inverse, and ``name^<int>`` for
-powers (negative exponents allowed).
+powers (negative exponents allowed).  A word may spell out at most
+``MAX_WORD_LENGTH`` letters.
 """
 
 from __future__ import annotations
@@ -33,11 +45,16 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 WordInts = Tuple[int, ...]  # letters as nonzero signed 1-based generator numbers
 
 _TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?")
+
+# Longest word, in letters, that a token text may spell out; a short
+# power token like ``a^1000000000`` would otherwise ask for gigabytes.
+MAX_WORD_LENGTH = 1_000_000
 
 
 def _parse_letters(text: str, generators: Sequence[str]) -> WordInts:
@@ -58,6 +75,10 @@ def _parse_letters(text: str, generators: Sequence[str]) -> WordInts:
         e = 1 if exp is None else int(exp)
         if e < 0:
             sign, e = -sign, -e
+        if len(letters) + e > MAX_WORD_LENGTH:
+            raise ValueError(
+                f"word longer than {MAX_WORD_LENGTH} letters at token {tok!r}"
+            )
         letters.extend([sign * index[base]] * e)
     return tuple(letters)
 
@@ -178,10 +199,6 @@ class CosetTable:
     def complete(self) -> bool:
         return self.status == "complete"
 
-    def column(self, gen: str) -> Tuple[int, ...]:
-        i = self.generators.index(gen)
-        return tuple(row[2 * i] for row in self.rows)
-
     def trace(self, coset: int, word: WordInts) -> int:
         """Follow ``word`` from ``coset``; -1 if an entry is undefined."""
         for g in word:
@@ -216,12 +233,19 @@ class _Enumerator:
         "live", "defined", "dstack", "ded",
     )
 
-    def __init__(self, pres: FinitePresentation, max_cosets: int, felsch: bool):
-        self.ncols = 2 * len(pres.generators)
+    def __init__(
+        self,
+        ngens: int,
+        relators: Sequence[WordInts],
+        subgroup: Sequence[WordInts],
+        max_cosets: int,
+        felsch: bool,
+    ):
+        self.ncols = 2 * ngens
         self.max = max(1, max_cosets)
         self.felsch = felsch
-        self.rels = [self._columns(w) for w in pres.relators]
-        self.subs = [self._columns(w) for w in pres.subgroup]
+        self.rels = [self._columns(w) for w in relators]
+        self.subs = [self._columns(w) for w in subgroup]
         self.tbl: List[List[int]] = [[], [0] * self.ncols]
         self.p = [0, 1]
         self.q: deque = deque()
@@ -503,6 +527,45 @@ class _Enumerator:
         return ok
 
 
+def _reduce_powers(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
+    """Shorten relators modulo the power relators among them.
+
+    For each generator g, the shortest relator that is one letter
+    repeated (g^m or G^m) is kept as written.  In every other relator,
+    each maximal run of g and G becomes g^e, with its net exponent e
+    reduced into (-m/2, m/2]; runs and relators that vanish are dropped.
+    Every step multiplies a relator by a conjugate of g^m or G^m, so the
+    presented group is unchanged.
+    """
+    shortest: Dict[int, int] = {}  # generator -> index of its power relator
+    for i, w in enumerate(relators):
+        g = abs(w[0])
+        if w.count(w[0]) == len(w) and (
+            g not in shortest or len(w) < len(relators[shortest[g]])
+        ):
+            shortest[g] = i
+    period = {g: len(relators[i]) for g, i in shortest.items()}
+    kept = set(shortest.values())
+    out: List[WordInts] = []
+    for i, w in enumerate(relators):
+        if i in kept:
+            out.append(w)
+            continue
+        rel: List[int] = []
+        for g, run in groupby(w, key=abs):
+            m = period.get(g)
+            if m is None:
+                rel.extend(run)
+                continue
+            e = sum(1 if c > 0 else -1 for c in run) % m
+            if 2 * e > m:
+                e -= m
+            rel.extend([g] * e if e > 0 else [-g] * -e)
+        if rel:
+            out.append(tuple(rel))
+    return tuple(out)
+
+
 def todd_coxeter(
     pres: FinitePresentation,
     max_cosets: int = 1_000_000,
@@ -517,7 +580,13 @@ def todd_coxeter(
     """
     if strategy not in ("hlt", "felsch"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    enum = _Enumerator(pres, max_cosets, strategy == "felsch")
+    enum = _Enumerator(
+        len(pres.generators),
+        _reduce_powers(pres.relators),
+        pres.subgroup,
+        max_cosets,
+        strategy == "felsch",
+    )
     if enum.run():
         rows = tuple(tuple(e - 1 for e in row) for row in enum.tbl[1:])
         table = CosetTable(pres.generators, rows, "complete", len(rows), enum.defined)

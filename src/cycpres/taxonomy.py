@@ -69,6 +69,16 @@ class Classification:
     structure_note: str
 
 
+def order_formula(n: int) -> str:
+    """The closed order formula 2^n - (-1)^n, written out for this n.
+
+    The decimal order of G_n(0,1) has about 0.3 n digits, so it passes
+    Python's int-to-str digit limit (4,300 by default) near n = 14,300;
+    the formula prints at every n.
+    """
+    return f"2^{n} - (-1)^{n}"
+
+
 def classify(n: int, k: int, l: int) -> Classification:
     """Full verdict for G_n(k,l): finiteness, asphericity, shift dynamics."""
     if n < 1:
@@ -130,14 +140,14 @@ def classify(n: int, k: int, l: int) -> Classification:
             )
     elif cond.C:
         if not cond.A:
-            s = 2 ** n - (-1) ** n
             shape = "cyclic" if n % 3 != 0 else "metacyclic"
             cls = Classification(
                 n, k, l, 1, cond,
-                finite=True, order=s, ca=False, free_shift=False,
+                finite=True, order=2 ** n - (-1) ** n, ca=False, free_shift=False,
                 theta_fixed=True, exceptional_n18=False, branch="C, A fails",
                 structure_note=(
-                    f"{shape} of order {s}; the shift fixes a subgroup of order three"
+                    f"{shape} of order {order_formula(n)};"
+                    " the shift fixes a subgroup of order three"
                 ),
             )
         else:

@@ -66,6 +66,14 @@ def test_classify_json_round_trip(capsys):
     assert rep["finite"] is True and rep["order"] == 129
 
 
+def test_classify_order_too_long_for_decimal(capsys):
+    argv = ("classify", "--n", "20000", "--k", "0", "--l", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "finite: True of order 2^20000 - (-1)^20000" in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["order"] == "2^20000 - (-1)^20000"
+
+
 def test_sweep_matches_library(capsys):
     code, out, _ = run(capsys, "sweep", "--nmax", "4", "--json")
     assert code == 0
@@ -113,6 +121,13 @@ def test_enumerate_overflow_exit_3(tmp_path, capsys):
     code, out, _ = run(capsys, "enumerate", "--file", str(path),
                        "--max-cosets", "100")
     assert code == 3 and "undecided" in out
+
+
+def test_enumerate_huge_power_exit_2(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("gens: a\nrels:\na^1000000000\n")
+    code, _, err = run(capsys, "enumerate", "--file", str(path))
+    assert code == 2 and "letters" in err
 
 
 def test_enumerate_missing_file_exit_2(capsys):

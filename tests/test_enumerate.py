@@ -2,9 +2,13 @@ from dataclasses import replace
 
 import pytest
 
+import cycpres.enumerate as enumerate_module
+from cycpres.cyclic import gnkl
 from cycpres.enumerate import (
+    MAX_WORD_LENGTH,
     CosetTable,
     FinitePresentation,
+    _reduce_powers,
     audit_table,
     generator_permutation,
     parse_presentation,
@@ -13,6 +17,7 @@ from cycpres.enumerate import (
     todd_coxeter,
 )
 from cycpres.relative import RelativeWord, lift, to_relative
+from cycpres.taxonomy import classify
 from cycpres.words import parse_word
 
 K_TEXT = """\
@@ -50,6 +55,13 @@ def test_rejects_bad_input():
         FinitePresentation.make(("a",), ("",))
     with pytest.raises(ValueError):
         FinitePresentation.make(("A",), ())
+
+
+def test_word_length_is_bounded():
+    with pytest.raises(ValueError, match=str(MAX_WORD_LENGTH)):
+        FinitePresentation.make(("a",), ("a^1000000000",))
+    with pytest.raises(ValueError, match=str(MAX_WORD_LENGTH)):
+        FinitePresentation.make(("a",), (f"a^{MAX_WORD_LENGTH} A",))
 
 
 def test_parse_presentation_file_format():
@@ -216,3 +228,86 @@ def test_relative_to_presentation_from_word():
     W = to_relative(parse_word("x0 x1 X2", 5), 5)
     p = relative_to_presentation(W, 5)
     assert p.relators == ((1,) * 5, (2, 1, 2, 1, -2, 1, 1, 1))
+
+
+# -- relators reduced modulo power relators ------------------------------------
+
+A5 = (1,) * 5
+
+
+def test_reduce_powers_keeps_the_power_relator():
+    assert _reduce_powers((A5,)) == (A5,)
+    assert _reduce_powers((A5, A5)) == (A5,)  # the copy reduces to nothing
+
+
+def test_reduce_powers_writes_a_to_the_minus_one():
+    # a^4 = a^{-1} and a A a = a, given a^5
+    assert _reduce_powers((A5, (2, 1, 1, 1, 1))) == (A5, (2, -1))
+    assert _reduce_powers((A5, (2, 1, -1, 1))) == (A5, (2, 1))
+
+
+def test_reduce_powers_drops_runs_that_vanish():
+    rels = (A5, (2, 1, 1, 1, 1, 1, 2), (2,) + (-1,) * 10 + (-2,))
+    assert _reduce_powers(rels) == (A5, (2, 2), (2, -2))
+
+
+def test_reduce_powers_inverse_power_relator():
+    rels = ((-1,) * 5, (2, 1, 1, 1, 1), (2, -1, -1, -1))
+    assert _reduce_powers(rels) == ((-1,) * 5, (2, -1), (2, 1, 1))
+
+
+def test_reduce_powers_uses_the_shortest_power_relator():
+    rels = ((1,) * 6, (1,) * 4, (2, 1, 1, 1))
+    assert _reduce_powers(rels) == ((1, 1), (1,) * 4, (2, -1))
+
+
+def test_reduce_powers_tie_keeps_the_positive_exponent():
+    k = parse_presentation(K_TEXT)  # b^6, u u b^3 u b^2
+    assert _reduce_powers(k.relators) == k.relators
+    assert _reduce_powers(((1,) * 6, (2, -1, -1, -1))) == ((1,) * 6, (2, 1, 1, 1))
+
+
+def _shifted_lift(W, n, signs):
+    """lift(W, n) with the i-th a-exponent moved by signs[i] * n."""
+    rel = []
+    for (e, p), s in zip(W.syllables, signs):
+        rel.append(2 if e > 0 else -2)
+        p = p % n + s * n
+        rel.extend([1] * p if p > 0 else [-1] * -p)
+    return FinitePresentation(("a", "x"), ((1,) * n, tuple(rel)), ((1,),))
+
+
+@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+def test_tables_do_not_depend_on_how_a_exponents_are_written(strategy):
+    triples = [
+        (n, k, l)
+        for n in range(2, 9)
+        for k in range(n)
+        for l in range(n)
+        if classify(n, k, l).finite
+    ]
+    assert len(triples) == 123
+    for n, k, l in triples:
+        W = to_relative(gnkl(n, k, l).word, n)
+        base = todd_coxeter(replace(lift(W, n), subgroup=((1,),)), strategy=strategy)
+        assert base.complete
+        for signs in ((1, 1, 1), (-1, -1, -1), (1, -1, 1)):
+            pres = _shifted_lift(W, n, signs)
+            t = todd_coxeter(pres, strategy=strategy)
+            assert t.rows == base.rows, (n, k, l, signs)
+            audit_table(t, pres)
+
+
+def test_audit_checks_the_callers_presentation(monkeypatch):
+    seen = []
+    monkeypatch.setattr(enumerate_module, "audit_table", lambda t, p: seen.append(p))
+    pres = FinitePresentation.make(("a", "x"), ("a^5", "x a^4", "x^2"))
+    todd_coxeter(pres)
+    assert seen == [pres]
+
+
+def test_g12_8_5_extension_work():
+    W = to_relative(gnkl(12, 8, 5).word, 12)
+    t = todd_coxeter(replace(lift(W, 12), subgroup=((1,),)))
+    assert t.count == 4095
+    assert t.defined <= 70_000  # 122,542 with a-exponents as lift writes them

@@ -70,6 +70,12 @@ def test_classify_metacyclic():
     assert "metacyclic" in c.structure_note
 
 
+def test_classify_order_past_the_int_to_str_limit():
+    c = classify(20000, 0, 1)
+    assert c.order == 2 ** 20000 - 1
+    assert "order 2^20000 - (-1)^20000" in c.structure_note
+
+
 def test_classify_invariants_up_to_24():
     for c in sweep(24):
         assert c.free_shift == c.ca
