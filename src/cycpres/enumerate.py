@@ -25,6 +25,20 @@ canonical, the tables returned do not change either, only the work
 spent reaching them.  Completed tables are audited against the caller's
 relators, never the shortened ones.
 
+HLT then scans cyclic conjugates in place of the shortened relators
+(``_scan_list``): every relator other than a power relator becomes its
+distinct rotations that begin at a letter of a generator with no power
+relator, such as the three rotations of ``x a^k x a^{l-k} x a^{-l}``
+that begin at an x.  Cyclic conjugates have the same normal closure, so
+again only the work changes: a deduction that a rotation gives at once
+no longer waits for the scan from the relator's first letter.  Felsch
+keeps the shortened relators; its deduction lists hold every rotation
+already.  After a lookahead pass, HLT resumes at the first live coset at
+or after the one it was working on, and the lookahead pass starts there
+too.  Every live coset below that point has every relator closed and a
+full row, and coincidences keep both, so scanning those cosets again
+would define and merge nothing.
+
 Presentation text format::
 
     gens: b u
@@ -36,8 +50,8 @@ Presentation text format::
 
 Word tokens are whitespace separated: a generator name for the
 generator, its capitalized form for the inverse, and ``name^<int>`` for
-powers (negative exponents allowed).  A word may spell out at most
-``MAX_WORD_LENGTH`` letters.
+powers (negative exponents allowed).  A word, and all the words of a
+presentation together, may spell out at most ``MAX_WORD_LENGTH`` letters.
 """
 
 from __future__ import annotations
@@ -52,12 +66,15 @@ WordInts = Tuple[int, ...]  # letters as nonzero signed 1-based generator number
 
 _TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?")
 
-# Longest word, in letters, that a token text may spell out; a short
-# power token like ``a^1000000000`` would otherwise ask for gigabytes.
+# Most letters that a word, or all the words of a presentation together,
+# may spell out; a short power token like ``a^1000000000`` would otherwise
+# ask for gigabytes.
 MAX_WORD_LENGTH = 1_000_000
 
 
-def _parse_letters(text: str, generators: Sequence[str]) -> WordInts:
+def _parse_letters(
+    text: str, generators: Sequence[str], limit: int = MAX_WORD_LENGTH
+) -> WordInts:
     index = {g: i + 1 for i, g in enumerate(generators)}
     letters: List[int] = []
     for tok in text.split():
@@ -75,9 +92,9 @@ def _parse_letters(text: str, generators: Sequence[str]) -> WordInts:
         e = 1 if exp is None else int(exp)
         if e < 0:
             sign, e = -sign, -e
-        if len(letters) + e > MAX_WORD_LENGTH:
+        if len(letters) + e > limit:
             raise ValueError(
-                f"word longer than {MAX_WORD_LENGTH} letters at token {tok!r}"
+                f"more than {MAX_WORD_LENGTH} letters spelled out at token {tok!r}"
             )
         letters.extend([sign * index[base]] * e)
     return tuple(letters)
@@ -130,13 +147,23 @@ class FinitePresentation:
         relators: Iterable[str],
         subgroup: Iterable[str] = (),
     ) -> "FinitePresentation":
-        """Build a presentation from token-text words."""
+        """Build a presentation from token-text words.
+
+        All the words together may spell out at most ``MAX_WORD_LENGTH``
+        letters.
+        """
         gens = tuple(generators)
-        return cls(
-            gens,
-            tuple(_parse_letters(r, gens) for r in relators),
-            tuple(_parse_letters(s, gens) for s in subgroup),
-        )
+        left = MAX_WORD_LENGTH
+
+        def parse(texts: Iterable[str]) -> Tuple[WordInts, ...]:
+            nonlocal left
+            words = []
+            for text in texts:
+                words.append(_parse_letters(text, gens, left))
+                left -= len(words[-1])
+            return tuple(words)
+
+        return cls(gens, parse(relators), parse(subgroup))
 
     def word(self, text: str) -> WordInts:
         return _parse_letters(text, self.generators)
@@ -400,11 +427,13 @@ class _Enumerator:
     # -- strategies ----------------------------------------------------------
 
     def _run_hlt(self) -> bool:
+        start = 1  # live cosets below start have every relator closed, rows full
         while True:
+            a = start
             try:
-                for w in self.subs:
-                    self._scan_and_fill(1, w)
-                a = 1
+                if start == 1:
+                    for w in self.subs:
+                        self._scan_and_fill(1, w)
                 while a < len(self.tbl):
                     if self.p[a] == a:
                         for w in self.rels:
@@ -419,23 +448,32 @@ class _Enumerator:
                     a += 1
                 return True
             except _TableFull:
-                if not self._lookahead():
+                start = self._lookahead(a)
+                if not start:
                     return False
-                # restart on the compacted table; closed scans stay closed
 
-    def _lookahead(self) -> bool:
+    def _lookahead(self, start: int) -> int:
+        """Scan from ``start`` without defining, then compress the table.
+
+        Returns where HLT resumes, the renumbered first live coset at or
+        after ``start``, or 0 when the pass freed too little to go on.
+        """
         before = self.live
-        a = 1
+        p = self.p
+        a = start
         while a < len(self.tbl):
-            if self.p[a] == a:
+            if p[a] == a:
                 for w in self.rels:
-                    if self.p[a] != a:
+                    if p[a] != a:
                         break
                     self._scan_check(a, w)
             a += 1
+        resume = 1 + sum(1 for b in range(1, start) if p[b] == b)
         self._compress()
         freed = before - self.live
-        return len(self.tbl) - 1 < self.max and freed >= max(1, self.max // 100)
+        if len(self.tbl) - 1 < self.max and freed >= max(1, self.max // 100):
+            return resume
+        return 0
 
     def _run_felsch(self) -> bool:
         while True:
@@ -566,6 +604,32 @@ def _reduce_powers(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
     return tuple(out)
 
 
+def _scan_list(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
+    """The relators HLT scans: each relator or its cyclic conjugates.
+
+    Each relator that is one letter repeated is kept as written.  Every
+    other relator is replaced by its distinct cyclic conjugates that
+    begin at a letter of a generator with no power relator (for
+    ``x a^k x a^{l-k} x a^{-l}``, the three rotations that begin at an
+    x); a relator with no such letter stays as written, and so does one
+    whose rotations would take the list past ``MAX_WORD_LENGTH`` letters,
+    since a relator of length L can have L rotations of L letters.
+    Conjugates already in the list are not added again.
+    """
+    powered = {abs(w[0]) for w in relators if w.count(w[0]) == len(w)}
+    out: Dict[WordInts, None] = {}
+    room = MAX_WORD_LENGTH
+    for w in relators:
+        starts = []
+        if w.count(w[0]) != len(w):
+            starts = [i for i, g in enumerate(w) if abs(g) not in powered]
+        if len(starts) * len(w) > room:
+            starts = []
+        room -= len(starts) * len(w)
+        out.update(dict.fromkeys([w[i:] + w[:i] for i in starts] or [w]))
+    return tuple(out)
+
+
 def todd_coxeter(
     pres: FinitePresentation,
     max_cosets: int = 1_000_000,
@@ -580,12 +644,14 @@ def todd_coxeter(
     """
     if strategy not in ("hlt", "felsch"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    felsch = strategy == "felsch"
+    rels = _reduce_powers(pres.relators)
     enum = _Enumerator(
         len(pres.generators),
-        _reduce_powers(pres.relators),
+        rels if felsch else _scan_list(rels),
         pres.subgroup,
         max_cosets,
-        strategy == "felsch",
+        felsch,
     )
     if enum.run():
         rows = tuple(tuple(e - 1 for e in row) for row in enum.tbl[1:])

@@ -130,6 +130,13 @@ def test_enumerate_huge_power_exit_2(tmp_path, capsys):
     assert code == 2 and "letters" in err
 
 
+def test_enumerate_many_long_relators_exit_2(tmp_path, capsys):
+    path = tmp_path / "long.txt"
+    path.write_text("gens: a\nrels:\n" + "a^1000000\n" * 10)
+    code, _, err = run(capsys, "enumerate", "--file", str(path))
+    assert code == 2 and "letters" in err
+
+
 def test_enumerate_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "enumerate", "--file", "/nonexistent/x.txt")
     assert code == 2

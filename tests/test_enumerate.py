@@ -8,7 +8,10 @@ from cycpres.enumerate import (
     MAX_WORD_LENGTH,
     CosetTable,
     FinitePresentation,
+    _Enumerator,
     _reduce_powers,
+    _scan_list,
+    _TableFull,
     audit_table,
     generator_permutation,
     parse_presentation,
@@ -62,6 +65,17 @@ def test_word_length_is_bounded():
         FinitePresentation.make(("a",), ("a^1000000000",))
     with pytest.raises(ValueError, match=str(MAX_WORD_LENGTH)):
         FinitePresentation.make(("a",), (f"a^{MAX_WORD_LENGTH} A",))
+
+
+def test_presentation_length_is_bounded():
+    half = MAX_WORD_LENGTH // 2
+    p = FinitePresentation.make(("a",), (f"a^{half}",), (f"a^{half}",))
+    assert sum(map(len, p.relators + p.subgroup)) == MAX_WORD_LENGTH
+    with pytest.raises(ValueError, match=str(MAX_WORD_LENGTH)):
+        FinitePresentation.make(("a",), (f"a^{half}", f"a^{half}"), ("a",))
+    text = "gens: a\nrels:\n" + f"a^{MAX_WORD_LENGTH}\n" * 10
+    with pytest.raises(ValueError, match=str(MAX_WORD_LENGTH)):
+        parse_presentation(text)
 
 
 def test_parse_presentation_file_format():
@@ -306,8 +320,147 @@ def test_audit_checks_the_callers_presentation(monkeypatch):
     assert seen == [pres]
 
 
+def extension(n, k, l):
+    """E = (a, x : a^n, W) over <a>, as shift_orbits enumerates it."""
+    W = to_relative(gnkl(n, k, l).word, n)
+    return replace(lift(W, n), subgroup=((1,),))
+
+
 def test_g12_8_5_extension_work():
-    W = to_relative(gnkl(12, 8, 5).word, 12)
-    t = todd_coxeter(replace(lift(W, 12), subgroup=((1,),)))
+    t = todd_coxeter(extension(12, 8, 5))
     assert t.count == 4095
-    assert t.defined <= 70_000  # 122,542 with a-exponents as lift writes them
+    # 122,542 with a-exponents as lift writes them, 64,851 scanning W
+    # from its first letter only
+    assert t.defined <= 40_000
+
+
+def test_g11_4_4_extension_completes_under_a_small_cap():
+    t = todd_coxeter(extension(11, 4, 4), max_cosets=3000)
+    assert t.complete and t.count == 2049
+
+
+def test_felsch_work_is_unchanged_by_the_scan_list():
+    k = parse_presentation(K_TEXT)
+    assert todd_coxeter(k, strategy="felsch").defined == 164
+    assert todd_coxeter(replace(k, subgroup=()), strategy="felsch").defined == 857
+    assert todd_coxeter(extension(12, 8, 5), strategy="felsch").defined == 21_782
+
+
+# -- HLT scan list: cyclic conjugates at free-generator letters ----------------
+
+def test_scan_list_rotates_w_at_each_x():
+    # G_5(2,1): a^5 and the shortened W = x a^2 x A x A; the three
+    # rotations of W that begin at an x
+    w = (2, 1, 1, 2, -1, 2, -1)
+    assert _scan_list((A5, w)) == (
+        A5,
+        w,
+        (2, -1, 2, -1, 2, 1, 1),
+        (2, -1, 2, 1, 1, 2, -1),
+    )
+
+
+def test_scan_list_keeps_power_relators():
+    # a^5 and A^3 as written; x a x becomes its two rotations at an x
+    rels = (A5, (-1,) * 3, (2, 1, 2))
+    assert _scan_list(rels) == (A5, (-1,) * 3, (2, 1, 2), (2, 2, 1))
+
+
+def test_scan_list_keeps_relators_of_powered_generators():
+    rels = ((1,) * 4, (2,) * 3, (1, 2, -1, 2))
+    assert _scan_list(rels) == rels
+
+
+def test_scan_list_without_power_relators_takes_every_rotation():
+    assert _scan_list(((1, 2, -1, -2),)) == (
+        (1, 2, -1, -2),
+        (2, -1, -2, 1),
+        (-1, -2, 1, 2),
+        (-2, 1, 2, -1),
+    )
+
+
+def test_scan_list_drops_repeated_conjugates():
+    assert _scan_list(((1, 2, 1, 2),)) == ((1, 2, 1, 2), (2, 1, 2, 1))
+    assert _scan_list(((1, 2, 3), (3, 1, 2))) == ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+
+
+def test_scan_list_letters_are_bounded():
+    # L rotations of L letters each: past MAX_WORD_LENGTH in all, the
+    # relator is scanned as written
+    side = int(MAX_WORD_LENGTH ** 0.5)
+    fits = (1,) + (2,) * (side - 1)
+    assert len(_scan_list((fits,))) == side
+    assert _scan_list((fits + (2,),)) == (fits + (2,),)
+    assert _scan_list((fits, (1, 2))) == _scan_list((fits,)) + ((1, 2),)
+
+
+class _RestartEnumerator(_Enumerator):
+    """Reference oracle: HLT restarting lookahead and scans at coset 1.
+
+    The library resumes at the first live coset not yet closed; this
+    copy of the earlier restart rule must reach the same table with the
+    same number of definitions, since the cosets below that point have
+    every relator closed and a full row.
+    """
+
+    lookaheads = 0
+
+    def _run_hlt(self):
+        while True:
+            try:
+                for w in self.subs:
+                    self._scan_and_fill(1, w)
+                a = 1
+                while a < len(self.tbl):
+                    if self.p[a] == a:
+                        for w in self.rels:
+                            self._scan_and_fill(a, w)
+                            if self.p[a] != a:
+                                break
+                        if self.p[a] == a:
+                            row = self.tbl[a]
+                            for c in range(self.ncols):
+                                if not row[c]:
+                                    self._define(a, c)
+                    a += 1
+                return True
+            except _TableFull:
+                if not self._lookahead():
+                    return False
+
+    def _lookahead(self):
+        type(self).lookaheads += 1
+        before = self.live
+        a = 1
+        while a < len(self.tbl):
+            if self.p[a] == a:
+                for w in self.rels:
+                    if self.p[a] != a:
+                        break
+                    self._scan_check(a, w)
+            a += 1
+        self._compress()
+        freed = before - self.live
+        return len(self.tbl) - 1 < self.max and freed >= max(1, self.max // 100)
+
+
+RESUME_CASES = [
+    # finite "C without A" triples that reach a 3,000-row cap
+    (10, 0, 1), (10, 3, 0), (11, 0, 9), (11, 2, 2), (11, 4, 4), (12, 0, 1),
+    (12, 8, 5), (12, 11, 11),
+    # infinite triples: the n = 18 family, gcd > 1, B with 3 | n, neither
+    (18, 14, 7), (14, 10, 12), (15, 2, 4), (9, 8, 4), (16, 12, 8),
+]
+
+
+def test_resume_after_lookahead_matches_restart(monkeypatch):
+    ours = [todd_coxeter(extension(*t), max_cosets=3000) for t in RESUME_CASES]
+    monkeypatch.setattr(enumerate_module, "_Enumerator", _RestartEnumerator)
+    for t, got in zip(RESUME_CASES, ours):
+        ref = todd_coxeter(extension(*t), max_cosets=3000)
+        assert (got.status, got.defined, got.rows) == (
+            ref.status, ref.defined, ref.rows,
+        ), t
+    assert _RestartEnumerator.lookaheads >= len(RESUME_CASES)
+    assert {t.status for t in ours} == {"complete", "overflow"}
