@@ -46,7 +46,6 @@ from .enumerate import (
     audit_table,
     generator_permutation,
     parse_presentation,
-    relative_to_presentation,
     semidirect_presentation,
     todd_coxeter,
 )
@@ -73,8 +72,7 @@ __all__ = [
     "Classification", "Conditions", "classify", "conditions", "reduce_to_0p",
     "sweep",
     "CosetTable", "FinitePresentation", "audit_table", "generator_permutation",
-    "parse_presentation", "relative_to_presentation", "semidirect_presentation",
-    "todd_coxeter",
+    "parse_presentation", "semidirect_presentation", "todd_coxeter",
     "EnumerationIncomplete", "FixedPointSummary", "N18Evidence", "OrbitReport",
     "fixed_subgroup_evidence", "orbit_report", "shift_orbits",
     "verify_n18_evidence",

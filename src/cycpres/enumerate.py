@@ -39,6 +39,19 @@ too.  Every live coset below that point has every relator closed and a
 full row, and coincidences keep both, so scanning those cosets again
 would define and merge nothing.
 
+A complete table is finished in one pass over the live rows: starting
+at coset 1, cosets are numbered in first-visit order, scanning columns
+in declared order, each entry is resolved through the union-find (rows
+of dead cosets stay in the table until a compression), and the 0-based
+standardized rows are emitted directly, so dead rows are never visited.
+Both strategies compress just before they give up, so an overflow table
+is the live rows as they stand.  ``audit_table`` then checks a complete
+table a whole column at a time: range and inverse entries per column,
+each column sorted against the coset numbers, and each relator traced
+from all cosets at once, one list pass per letter.  A failure names the
+first offending entry in row order, or the first coset, as a row by row
+check would.
+
 Presentation text format::
 
     gens: b u
@@ -536,33 +549,36 @@ class _Enumerator:
         self.p = list(range(len(rows)))
         self.live = new
 
-    def _standardize(self):
-        """Renumber cosets in first-visit order scanning columns in order."""
-        tbl = self.tbl
-        n = len(tbl) - 1
-        label = [0] * (n + 1)
-        label[1] = 1
+    def rows(self, complete: bool) -> Tuple[Tuple[int, ...], ...]:
+        """The finished table as 0-based rows, -1 for an undefined entry.
+
+        A complete table is standardized straight off the live rows,
+        resolving entries through the union-find, since the rows of dead
+        cosets and entries pointing at them remain.  An overflow run has
+        just compressed its table, so its rows are the live rows.
+        """
+        tbl, ncols = self.tbl, self.ncols
+        if not complete:
+            return tuple(tuple(e - 1 for e in row) for row in tbl[1:])
+        p, rep = self.p, self._rep
+        label = [-1] * len(tbl)
+        label[1] = 0
         order = [1]
-        nxt = 1
+        flat: List[int] = []
+        push = flat.append
         for a in order:
-            row = tbl[a]
-            for c in range(self.ncols):
-                b = row[c]
-                if not label[b]:
-                    nxt += 1
-                    label[b] = nxt
-                    order.append(b)
-        rows: List[List[int]] = [[]] * (n + 1)
-        for a in range(1, n + 1):
-            rows[label[a]] = [label[e] for e in tbl[a]]
-        self.tbl = rows
+            for e in tbl[a]:
+                if p[e] != e:
+                    e = rep(e)
+                b = label[e]
+                if b < 0:
+                    b = label[e] = len(order)
+                    order.append(e)
+                push(b)
+        return tuple(zip(*[iter(flat)] * ncols))
 
     def run(self) -> bool:
-        ok = self._run_felsch() if self.felsch else self._run_hlt()
-        self._compress()
-        if ok:
-            self._standardize()
-        return ok
+        return self._run_felsch() if self.felsch else self._run_hlt()
 
 
 def _reduce_powers(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
@@ -653,15 +669,18 @@ def todd_coxeter(
         max_cosets,
         felsch,
     )
-    if enum.run():
-        rows = tuple(tuple(e - 1 for e in row) for row in enum.tbl[1:])
-        table = CosetTable(pres.generators, rows, "complete", len(rows), enum.defined)
-        audit_table(table, pres)
-        return table
-    rows = tuple(
-        tuple(e - 1 if e else -1 for e in row) for row in enum.tbl[1:]
+    complete = enum.run()
+    rows = enum.rows(complete)
+    table = CosetTable(
+        pres.generators,
+        rows,
+        "complete" if complete else "overflow",
+        len(rows),
+        enum.defined,
     )
-    return CosetTable(pres.generators, rows, "overflow", len(rows), enum.defined)
+    if complete:
+        audit_table(table, pres)
+    return table
 
 
 def audit_table(table: CosetTable, pres: FinitePresentation):
@@ -669,36 +688,58 @@ def audit_table(table: CosetTable, pres: FinitePresentation):
 
     Checks: every entry defined and in range, generator columns are
     mutually inverse bijections, every relator traces to its starting
-    coset from every coset, and subgroup generators fix coset 0.
+    coset from every coset, and subgroup generators fix coset 0.  The
+    checks run a whole column at a time, and each relator is traced from
+    all cosets at once, one letter at a time; a failure names the first
+    offending entry (in row order) or coset.
     """
     if not table.complete:
         raise ValueError("cannot audit an incomplete table")
     count = table.count
     ncols = 2 * len(table.generators)
-    if len(table.rows) != count:
+    rows = table.rows
+    if len(rows) != count:
         raise ValueError("row count does not match coset count")
-    for i, row in enumerate(table.rows):
-        if len(row) != ncols:
-            raise ValueError(f"row {i} has wrong width")
-        for c, e in enumerate(row):
-            if not 0 <= e < count:
-                raise ValueError(f"entry ({i},{c}) out of range: {e}")
-            if table.rows[e][c ^ 1] != i:
-                raise ValueError(f"entry ({i},{c}) lacks an inverse entry")
-    for c in range(ncols):
-        if sorted(row[c] for row in table.rows) != list(range(count)):
+    every = list(range(count))
+    cols = list(zip(*rows)) or [()] * ncols
+    sound = all(len(row) == ncols for row in rows) and all(
+        0 <= min(col, default=0)
+        and max(col, default=0) < count
+        and [cols[c ^ 1][e] for e in col] == every
+        for c, col in enumerate(cols)
+    )
+    if not sound:
+        _raise_first_bad_entry(rows, count, ncols)
+    for c, col in enumerate(cols):
+        if sorted(col) != every:
             raise ValueError(f"column {c} is not a permutation")
     for r in pres.relators:
-        for i in range(count):
-            if table.trace(i, r) != i:
-                raise ValueError(
-                    f"relator {pres.word_text(r)} does not close at coset {i}"
-                )
+        cur = every
+        for c in _Enumerator._columns(r):
+            col = cols[c]
+            cur = [col[i] for i in cur]
+        if cur != every:
+            i = next(i for i in every if cur[i] != i)
+            raise ValueError(
+                f"relator {pres.word_text(r)} does not close at coset {i}"
+            )
     for s in pres.subgroup:
         if table.trace(0, s) != 0:
             raise ValueError(
                 f"subgroup generator {pres.word_text(s)} does not fix coset 0"
             )
+
+
+def _raise_first_bad_entry(rows, count: int, ncols: int):
+    """Raise for the first row of the wrong width or bad entry, row by row."""
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ValueError(f"row {i} has wrong width")
+        for c, e in enumerate(row):
+            if not 0 <= e < count:
+                raise ValueError(f"entry ({i},{c}) out of range: {e}")
+            if rows[e][c ^ 1] != i:
+                raise ValueError(f"entry ({i},{c}) lacks an inverse entry")
 
 
 def generator_permutation(table: CosetTable, gen: str) -> Tuple[int, ...]:
@@ -727,9 +768,3 @@ def semidirect_presentation(n: int, k: int, l: int) -> FinitePresentation:
     )
     return FinitePresentation(("a", "x"), (rel_a, rel_w))
 
-
-def relative_to_presentation(rel_word, n: int) -> FinitePresentation:
-    """Lift a relative word W to the ordinary presentation (a, x : a^n, W)."""
-    from .relative import lift
-
-    return lift(rel_word, n)

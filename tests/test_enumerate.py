@@ -15,13 +15,11 @@ from cycpres.enumerate import (
     audit_table,
     generator_permutation,
     parse_presentation,
-    relative_to_presentation,
     semidirect_presentation,
     todd_coxeter,
 )
 from cycpres.relative import RelativeWord, lift, to_relative
 from cycpres.taxonomy import classify
-from cycpres.words import parse_word
 
 K_TEXT = """\
 gens: b u
@@ -156,14 +154,58 @@ def test_audit_passes_on_completed_tables():
         audit_table(t, pres)  # raises on any violation
 
 
+def _corrupted(table, edit):
+    rows = [list(r) for r in table.rows]
+    edit(rows)
+    return replace(table, rows=tuple(tuple(r) for r in rows))
+
+
 def test_audit_catches_corruption():
     pres = cyclic_pres(5)
-    t = todd_coxeter(pres)
-    rows = [list(r) for r in t.rows]
-    rows[2][0] = rows[1][0]  # break the permutation property
-    bad = CosetTable(t.generators, tuple(tuple(r) for r in rows), "complete", t.count, t.defined)
-    with pytest.raises(ValueError):
+    # C_5 over 1 is ((1, 2), (3, 0), (0, 4), (4, 1), (2, 3)); coset 2
+    # loses its a-image 0, so the first bad entry is coset 0's A-entry
+    bad = _corrupted(todd_coxeter(pres), lambda r: r[2].__setitem__(0, r[1][0]))
+    with pytest.raises(ValueError, match=r"^entry \(0,1\) lacks an inverse entry$"):
         audit_table(bad, pres)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda r: r.__setitem__(2, r[2][:1]), "row 2 has wrong width"),
+        (lambda r: r[0].__setitem__(1, 5), r"entry \(0,1\) out of range: 5"),
+        (lambda r: r[0].__setitem__(1, -1), r"entry \(0,1\) out of range: -1"),
+        # the first failure in row order: row 3's entry, not row 4's width
+        (
+            lambda r: (r.__setitem__(4, r[4][:1]), r[3].__setitem__(0, 5)),
+            r"entry \(3,0\) out of range: 5",
+        ),
+    ],
+)
+def test_audit_names_the_first_bad_entry(edit, message):
+    pres = cyclic_pres(5)
+    bad = _corrupted(todd_coxeter(pres), edit)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        audit_table(bad, pres)
+
+
+def test_audit_names_the_coset_a_relator_does_not_close_at():
+    t = todd_coxeter(cyclic_pres(5))
+    with pytest.raises(ValueError, match="^relator a a a does not close at coset 0$"):
+        audit_table(t, cyclic_pres(3))
+    # S_3 over <s>: s fixes coset 0 only
+    pres = FinitePresentation.make(("r", "s"), ("r^3", "s^2", "r s r s"), ("s",))
+    t = todd_coxeter(pres)
+    extra = replace(pres, relators=pres.relators + ((2,),))
+    with pytest.raises(ValueError, match="^relator s does not close at coset 1$"):
+        audit_table(t, extra)
+
+
+def test_audit_checks_subgroup_generators():
+    t = todd_coxeter(cyclic_pres(5))
+    over_a = FinitePresentation.make(("a",), ("a^5",), ("a",))
+    with pytest.raises(ValueError, match="^subgroup generator a does not fix coset 0$"):
+        audit_table(t, over_a)
 
 
 def test_audit_rejects_incomplete():
@@ -235,13 +277,6 @@ def test_semidirect_matches_relative_lift():
     for n, k, l in ((5, 1, 2), (18, 1, 11), (7, 0, 3)):
         W = RelativeWord(((1, k), (1, l - k), (1, -l)))
         assert semidirect_presentation(n, k, l) == lift(W, n)
-        assert relative_to_presentation(W, n) == lift(W, n)
-
-
-def test_relative_to_presentation_from_word():
-    W = to_relative(parse_word("x0 x1 X2", 5), 5)
-    p = relative_to_presentation(W, 5)
-    assert p.relators == ((1,) * 5, (2, 1, 2, 1, -2, 1, 1, 1))
 
 
 # -- relators reduced modulo power relators ------------------------------------

@@ -14,6 +14,14 @@ E = (a, x : a^n, x a^k x a^{l-k} x a^{-l}) over <a>, the n = 18 evidence
 group K = (b, u : b^6, u u b^3 u b^2) over 1 and over <b>, the F(2,5)
 extension over <a>, and the extensions of G_11(0,1), G_12(0,1) and
 G_12(8,5) over <a>.
+
+A second corpus pins what a capped run returns: status, cosets defined,
+count and the sha256 of ``repr(table.rows)`` for eleven extensions
+enumerated at ``max_cosets=3000``, three of them completed through
+lookahead and eight undecided, G_12(11,11) among them.  An overflow
+table is not canonical, so these pin the enumerator's exact behaviour,
+not only its answers; they were generated by the enumerator as it stood
+before complete tables were standardized straight from the live rows.
 """
 
 import hashlib
@@ -168,6 +176,22 @@ DIGESTS = {
     "G_12(8,5)": (4095, "89527484955061703740ebc62d4a235baabed8a34fb63d3437375e672c40bb83"),
 }
 
+CAPPED_DIGESTS = {
+    # completed through lookahead
+    (10, 0, 3): ("complete", 4231, 1023, "a813b1c8c92c29c8491b2dcc9b76c883ffcda46f353a348f7ddde9e24199c12a"),
+    (11, 0, 2): ("complete", 7806, 2049, "737eeb7a7dc77c0c0da07c74aa7a4250f2019652f00b975b87972bcc8e616d15"),
+    (11, 5, 5): ("complete", 8183, 2049, "1a381b268d95dd1719bce283119bde9f6918d7f7b1a9d77b4ca0d8b24224f2ea"),
+    # undecided: finite, then infinite
+    (12, 11, 11): ("overflow", 4895, 2980, "7dfa8fde17e4aa5ab98416d42e6bee0cc1db89ca810034043f91fa0594da32f1"),
+    (12, 8, 5): ("overflow", 3498, 2983, "82610a58d1bd0d29bfd39bd9f28e184f25ea158620f68684f36444985e8d371e"),
+    (12, 4, 5): ("overflow", 3143, 3000, "800f342b161d3e96c418822e043f0db53cacefae655f41a03873bf51b1ef93ac"),
+    (14, 2, 4): ("overflow", 8920, 2976, "0c57c814d2771f4f7a94c5ab911e655e4da600d00ff99ba42fe8cfac9ad5deb6"),
+    (16, 5, 8): ("overflow", 3000, 3000, "6685bd2264f87a53eb1afbee2690491a088dfb6aeb5c8144c76a946b2481ff5a"),
+    (18, 10, 5): ("overflow", 3000, 1209, "00f98534aafcbe3ada8bef26ea39d22f182ef29572220097dadbf83b2a9fbdb4"),
+    (9, 8, 4): ("overflow", 3000, 2252, "849f15f489d3daa9033fd028c561ffa8ccbf8247e3144825f015198017c79ee1"),
+    (15, 14, 1): ("overflow", 3000, 2252, "bc65e73be3b14538b428ae4f0e11baaea8cda8bd4c5892781c1862cd267f81f8"),
+}
+
 
 def extension(word, n):
     return replace(lift(to_relative(word, n), n), subgroup=((1,),))
@@ -203,3 +227,11 @@ def test_table_digest(name):
     assert table.complete
     digest = hashlib.sha256(repr(table.rows).encode()).hexdigest()
     assert (table.count, digest) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("triple", list(CAPPED_DIGESTS), ids=str)
+def test_capped_table_digest(triple):
+    n, k, l = triple
+    table = todd_coxeter(extension(gnkl(n, k, l).word, n), max_cosets=3000)
+    digest = hashlib.sha256(repr(table.rows).encode()).hexdigest()
+    assert (table.status, table.defined, table.count, digest) == CAPPED_DIGESTS[triple]
