@@ -20,6 +20,7 @@ from cycpres.enumerate import (
 )
 from cycpres.relative import RelativeWord, lift, to_relative
 from cycpres.taxonomy import classify
+from cycpres.words import parse_word
 
 K_TEXT = """\
 gens: b u
@@ -277,6 +278,12 @@ def test_semidirect_matches_relative_lift():
     for n, k, l in ((5, 1, 2), (18, 1, 11), (7, 0, 3)):
         W = RelativeWord(((1, k), (1, l - k), (1, -l)))
         assert semidirect_presentation(n, k, l) == lift(W, n)
+
+
+def test_relative_to_presentation_from_word():
+    W = to_relative(parse_word("x0 x1 X2", 5), 5)
+    p = lift(W, 5)
+    assert p.relators == ((1,) * 5, (2, 1, 2, 1, -2, 1, 1, 1))
 
 
 # -- relators reduced modulo power relators ------------------------------------
