@@ -34,11 +34,6 @@ print("index of <b> in K =", over_b.count)
 perm = generator_permutation(over_b, "b")
 print("fixed cosets of b :", [i + 1 for i, img in enumerate(perm) if i == img])
 
-# Both strategies land on the same standardized table.
-over_b_pres = replace(K, subgroup=(K.word("b"),))
-felsch = todd_coxeter(over_b_pres, strategy="felsch")
-print("strategies agree:", over_b.rows == felsch.rows)
-
 # Enumeration is a semi-decision procedure: on an infinite group the
 # table only overflows, it never lies.
 z2 = FinitePresentation.make(("a", "b"), ("a b A B",))

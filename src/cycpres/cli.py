@@ -141,7 +141,7 @@ def cmd_enumerate(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    table = enum.todd_coxeter(pres, max_cosets=args.max_cosets, strategy=args.strategy)
+    table = enum.todd_coxeter(pres, max_cosets=args.max_cosets)
     if not table.complete:
         print(
             f"undecided: limit of {args.max_cosets} cosets reached"
@@ -164,9 +164,7 @@ def cmd_orbits(args) -> int:
             if args.k is None or args.l is None:
                 raise ValueError("need either --word or both --k and --l")
             w = gnkl(args.n, args.k, args.l).word
-        report = dynamics.shift_orbits(
-            args.n, w, f=args.f, max_cosets=args.max_cosets, strategy=args.strategy
-        )
+        report = dynamics.shift_orbits(args.n, w, f=args.f, max_cosets=args.max_cosets)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -209,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="run coset enumeration on a presentation file")
     p.add_argument("--file", required=True)
     p.add_argument("--max-cosets", type=int, default=1_000_000)
-    p.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")
     p.add_argument("--table", action="store_true", help="print the coset table")
     p.set_defaults(func=cmd_enumerate)
 
@@ -220,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", help="defining word in x<i>/X<i> tokens")
     p.add_argument("--f", type=int, default=0, help="retraction exponent (default 0)")
     p.add_argument("--max-cosets", type=int, default=1_000_000)
-    p.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_orbits)
 

@@ -110,7 +110,6 @@ def shift_orbits(
     w: Word,
     f: int = 0,
     max_cosets: int = 1_000_000,
-    strategy: str = "hlt",
 ) -> OrbitReport:
     """Enumerate E/<a> for the extension of C_n by G_n(w) and analyze orbits.
 
@@ -131,7 +130,7 @@ def shift_orbits(
             f"f={f} is not a retraction exponent for this word (valid: {valid})"
         )
     pres = replace(lift(W, n), subgroup=((1,),))
-    table = todd_coxeter(pres, max_cosets=max_cosets, strategy=strategy)
+    table = todd_coxeter(pres, max_cosets=max_cosets)
     if not table.complete:
         raise EnumerationIncomplete(
             f"coset enumeration did not complete within {max_cosets} cosets"
@@ -171,20 +170,16 @@ class N18Evidence:
     b_fixed_points: int
 
 
-def verify_n18_evidence(
-    max_cosets: int = 100_000, strategy: str = "hlt"
-) -> N18Evidence:
+def verify_n18_evidence(max_cosets: int = 100_000) -> N18Evidence:
     """Enumerate K = (b, u : b^6, u^2 b^3 u b^2) and count fixed cosets of b.
 
     Expected values: |K| = 342, index of <b> is 57, and b fixes exactly
     3 of the 57 cosets.
     """
     pres = FinitePresentation.make(("b", "u"), ("b^6", "u u b^3 u b^2"))
-    full = todd_coxeter(pres, max_cosets=max_cosets, strategy=strategy)
+    full = todd_coxeter(pres, max_cosets=max_cosets)
     over_b = todd_coxeter(
-        replace(pres, subgroup=(pres.word("b"),)),
-        max_cosets=max_cosets,
-        strategy=strategy,
+        replace(pres, subgroup=(pres.word("b"),)), max_cosets=max_cosets
     )
     if not (full.complete and over_b.complete):
         raise EnumerationIncomplete("K enumeration did not complete", None)

@@ -6,18 +6,17 @@ finite and yields a standardized table; running out of room proves
 nothing, so exhaustion is reported as an ``overflow`` table, never as a
 wrong answer.
 
-Two strategies are provided.  HLT scans every relator at every live
-coset, defining new cosets to fill gaps; when the coset limit is hit it
-runs a lookahead pass (scanning without defining) to collapse the table
-before giving up.  Felsch makes one definition at a time and propagates
-deductions exhaustively.  Completed tables are standardized (renumbered
-in first-visit order, columns scanned in declared generator order), so
-both strategies expose bit-for-bit identical results.
+The enumerator is HLT: it scans every relator at every live coset,
+defining new cosets to fill gaps; when the coset limit is hit it runs a
+lookahead pass (scanning without defining) to collapse the table
+before giving up.  Completed tables are standardized (renumbered in
+first-visit order, columns scanned in declared generator order), so the
+result does not depend on how the enumeration went.
 
-Before either strategy runs, relators are shortened modulo the power
-relators among them.  For each generator g, the shortest relator of the
-form g^m (or G^m) is kept, and in every other relator each maximal run
-of g and G is replaced by g^e with its net exponent e reduced into
+Before HLT runs, relators are shortened modulo the power relators
+among them.  For each generator g, the shortest relator of the form
+g^m (or G^m) is kept, and in every other relator each maximal run of g
+and G is replaced by g^e with its net exponent e reduced into
 (-m/2, m/2] (so ``a^{n-1}`` becomes ``A`` given ``a^n``).  Each such
 step multiplies a relator by a conjugate of g^{+-m}, which leaves the
 group and the subgroup unchanged; since standardized tables are
@@ -31,26 +30,32 @@ distinct rotations that begin at a letter of a generator with no power
 relator, such as the three rotations of ``x a^k x a^{l-k} x a^{-l}``
 that begin at an x.  Cyclic conjugates have the same normal closure, so
 again only the work changes: a deduction that a rotation gives at once
-no longer waits for the scan from the relator's first letter.  Felsch
-keeps the shortened relators; its deduction lists hold every rotation
-already.  After a lookahead pass, HLT resumes at the first live coset at
-or after the one it was working on, and the lookahead pass starts there
-too.  Every live coset below that point has every relator closed and a
-full row, and coincidences keep both, so scanning those cosets again
-would define and merge nothing.
+no longer waits for the scan from the relator's first letter.  After a
+lookahead pass, HLT resumes at the first live coset at or after the one
+it was working on, and the lookahead pass starts there too.  Every live
+coset below that point has every relator closed and a full row, and
+coincidences keep both, so scanning those cosets again would define and
+merge nothing.
+
+The table is stored column-major: one list per generator and inverse
+column, indexed by coset, beside the union-find list.  Defining a coset
+appends an empty entry to each column, and compression rewrites the
+columns in place.  One scan routine serves every pass: it runs the
+whole scan list from one coset, filling gaps with new cosets in HLT and
+subgroup scans and only applying deductions and coincidences in
+lookahead, with definitions and merges done inline.
 
 A complete table is finished in one pass over the live rows: starting
 at coset 1, cosets are numbered in first-visit order, scanning columns
-in declared order, each entry is resolved through the union-find (rows
-of dead cosets stay in the table until a compression), and the 0-based
-standardized rows are emitted directly, so dead rows are never visited.
-Both strategies compress just before they give up, so an overflow table
-is the live rows as they stand.  ``audit_table`` then checks a complete
-table a whole column at a time: range and inverse entries per column,
-each column sorted against the coset numbers, and each relator traced
-from all cosets at once, one list pass per letter.  A failure names the
-first offending entry in row order, or the first coset, as a row by row
-check would.
+in declared order, and the 0-based standardized rows are emitted
+directly, so the rows of dead cosets, which stay in the table until a
+compression, are never visited.  HLT compresses just before it gives
+up, so an overflow table is the live rows as they stand.
+``audit_table`` then checks a complete table a whole column at a time:
+range and inverse entries per column, and each relator traced from all
+cosets at once, one list pass per letter.  A failure names the first
+offending entry in row order, or the first coset, as a row by row check
+would.
 
 Presentation text format::
 
@@ -70,7 +75,6 @@ presentation together, may spell out at most ``MAX_WORD_LENGTH`` letters.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -266,12 +270,19 @@ class _TableFull(Exception):
 
 
 class _Enumerator:
-    """Mutable enumeration state; 1-based cosets, 0 = undefined entry."""
+    """Mutable HLT state; 1-based cosets, 0 = undefined entry.
 
-    __slots__ = (
-        "ncols", "max", "felsch", "rels", "subs", "tbl", "p", "q",
-        "live", "defined", "dstack", "ded",
-    )
+    The table is column-major: ``cols[c][a]`` is the image of coset a
+    under column c, ``pairs[c]`` is column c with its inverse column, and
+    ``p`` is the union-find over coset numbers, so the table holds
+    ``len(p) - 1`` cosets.  Outside a coincidence, live rows hold only
+    live cosets: dead rows stay until ``_compress``, but every entry
+    pointing at a dead coset has been cleared.  A word to scan is held
+    as the columns it reads forwards and the inverse columns it reads
+    backwards; ``_compress`` keeps the column lists, so these stay valid.
+    """
+
+    __slots__ = ("max", "cols", "pairs", "rels", "subs", "p", "dropped")
 
     def __init__(
         self,
@@ -279,185 +290,139 @@ class _Enumerator:
         relators: Sequence[WordInts],
         subgroup: Sequence[WordInts],
         max_cosets: int,
-        felsch: bool,
     ):
-        self.ncols = 2 * ngens
         self.max = max(1, max_cosets)
-        self.felsch = felsch
-        self.rels = [self._columns(w) for w in relators]
-        self.subs = [self._columns(w) for w in subgroup]
-        self.tbl: List[List[int]] = [[], [0] * self.ncols]
+        self.cols: List[List[int]] = [[0, 0] for _ in range(2 * ngens)]
+        self.pairs = [(col, self.cols[c ^ 1]) for c, col in enumerate(self.cols)]
+        self.rels = [self._reads(w) for w in relators]
+        self.subs = [self._reads(w) for w in subgroup]
         self.p = [0, 1]
-        self.q: deque = deque()
-        self.live = 1
-        self.defined = 1
-        self.dstack: List[Tuple[int, int]] = []
-        self.ded: Dict[int, List[WordInts]] = {}
-        if felsch:
-            byfirst: Dict[int, List[WordInts]] = {}
-            for w in self.rels:
-                seen = set()
-                for i in range(len(w)):
-                    rot = w[i:] + w[:i]
-                    if rot not in seen:
-                        seen.add(rot)
-                        byfirst.setdefault(rot[0], []).append(rot)
-            self.ded = byfirst
+        self.dropped = 0  # dead rows removed by compressions
 
     @staticmethod
     def _columns(word: WordInts) -> WordInts:
         return tuple(2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1 for g in word)
 
-    # -- union-find over coset numbers ------------------------------------
+    def _reads(self, word: WordInts):
+        """The columns a scan of a nonempty word reads, forwards and back."""
+        return tuple(zip(*[self.pairs[c] for c in self._columns(word)]))
 
-    def _rep(self, k: int) -> int:
-        p = self.p
-        r = k
-        while p[r] != r:
-            r = p[r]
-        while p[k] != r:
-            p[k], k = r, p[k]
-        return r
-
-    def _merge(self, a: int, b: int):
-        a, b = self._rep(a), self._rep(b)
-        if a != b:
-            if a > b:
-                a, b = b, a
-            self.p[b] = a
-            self.live -= 1
-            self.q.append(b)
+    @property
+    def defined(self) -> int:
+        """Cosets defined so far, dead ones included."""
+        return self.dropped + len(self.p) - 1
 
     def _coincide(self, a: int, b: int):
-        self._merge(a, b)
-        tbl, q, ncols = self.tbl, self.q, self.ncols
-        felsch, push = self.felsch, self.dstack.append
-        while q:
-            g = q.popleft()
-            row = tbl[g]
-            for c in range(ncols):
-                d = row[c]
+        """Identify live cosets a != b, then every pair that this forces.
+
+        Of two merged cosets the larger dies.  Dead cosets are processed
+        in the order they died: each entry of a dead row has its twin
+        cleared and moves to the representatives, merging them further
+        where the entry is already taken.
+        """
+        pairs, p = self.pairs, self.p
+        if a > b:
+            a, b = b, a
+        p[b] = a
+        q = [b]
+        for g in q:  # q grows while it is walked
+            for col, inv in pairs:
+                d = col[g]
                 if not d:
                     continue
-                # the twin entry still points at the dead coset; drop it
-                tbl[d][c ^ 1] = 0
-                mu = self._rep(g)
-                nu = self._rep(d)
-                t = tbl[mu][c]
+                inv[d] = 0
+                mu, nu = g, d
+                while p[mu] != mu:
+                    p[mu] = mu = p[p[mu]]  # path halving
+                while p[nu] != nu:
+                    p[nu] = nu = p[p[nu]]
+                t = col[mu]
                 if t:
-                    self._merge(nu, t)
+                    mu = nu
                 else:
-                    t = tbl[nu][c ^ 1]
-                    if t:
-                        self._merge(mu, t)
-                    else:
-                        tbl[mu][c] = nu
-                        tbl[nu][c ^ 1] = mu
-                        if felsch:
-                            push((mu, c))
-                            push((nu, c ^ 1))
+                    t = inv[nu]
+                    if not t:
+                        col[mu] = nu
+                        inv[nu] = mu
+                        continue
+                while p[t] != t:
+                    p[t] = t = p[p[t]]
+                if mu != t:
+                    if mu > t:
+                        mu, t = t, mu
+                    p[t] = mu
+                    q.append(t)
 
-    # -- table growth ------------------------------------------------------
+    def _scan(self, a: int, words, fill: bool):
+        """Scan each word (as ``_reads`` gives it) from coset a, until a dies.
 
-    def _define(self, a: int, c: int) -> int:
-        if len(self.tbl) - 1 >= self.max:
-            raise _TableFull
-        b = len(self.tbl)
-        self.tbl.append([0] * self.ncols)
-        self.p.append(b)
-        self.tbl[a][c] = b
-        self.tbl[b][c ^ 1] = a
-        self.live += 1
-        self.defined += 1
-        if self.felsch:
-            self.dstack.append((a, c))
-            self.dstack.append((b, c ^ 1))
-        return b
-
-    def _scan_and_fill(self, a: int, word: WordInts):
-        tbl = self.tbl
-        i, j = 0, len(word) - 1
-        f = b = a
-        while True:
-            while i <= j:
-                nxt = tbl[f][word[i]]
-                if not nxt:
+        A scan that closes applies its coincidence, and one that is one
+        entry short applies it as a deduction.  A longer gap is filled
+        with new cosets when ``fill`` is set and left open otherwise.
+        """
+        cols, p, cap = self.cols, self.p, self.max
+        for fwd, back in words:
+            if p[a] != a:
+                return
+            i, j = 0, len(fwd) - 1
+            f = b = a
+            while True:
+                while i <= j:
+                    nxt = fwd[i][f]
+                    if not nxt:
+                        break
+                    f = nxt
+                    i += 1
+                if i > j:
+                    if f != b:
+                        self._coincide(f, b)
                     break
-                f = nxt
-                i += 1
-            if i > j:
-                if f != b:
+                while j >= i:
+                    prv = back[j][b]
+                    if not prv:
+                        break
+                    b = prv
+                    j -= 1
+                if j < i:
                     self._coincide(f, b)
-                return
-            while j >= i:
-                prv = tbl[b][word[j] ^ 1]
-                if not prv:
-                    break
-                b = prv
-                j -= 1
-            if j < i:
-                self._coincide(f, b)
-                return
-            if j == i:
-                tbl[f][word[i]] = b
-                tbl[b][word[i] ^ 1] = f
-                if self.felsch:
-                    self.dstack.append((f, word[i]))
-                    self.dstack.append((b, word[i] ^ 1))
-                return
-            self._define(f, word[i])
-
-    def _scan_check(self, a: int, word: WordInts):
-        """Scan without defining; applies free deductions and coincidences."""
-        tbl = self.tbl
-        i, j = 0, len(word) - 1
-        f = b = a
-        while i <= j:
-            nxt = tbl[f][word[i]]
-            if not nxt:
+                elif j == i:
+                    fwd[i][f] = b
+                    back[i][b] = f
+                elif fill:
+                    n = len(p)
+                    if n > cap:
+                        raise _TableFull
+                    for col in cols:
+                        col.append(0)
+                    p.append(n)
+                    fwd[i][f] = n
+                    back[i][n] = f
+                    continue
                 break
-            f = nxt
-            i += 1
-        if i > j:
-            if f != b:
-                self._coincide(f, b)
-            return
-        while j >= i:
-            prv = tbl[b][word[j] ^ 1]
-            if not prv:
-                break
-            b = prv
-            j -= 1
-        if j < i:
-            self._coincide(f, b)
-        elif j == i:
-            tbl[f][word[i]] = b
-            tbl[b][word[i] ^ 1] = f
-            if self.felsch:
-                self.dstack.append((f, word[i]))
-                self.dstack.append((b, word[i] ^ 1))
 
-    # -- strategies ----------------------------------------------------------
-
-    def _run_hlt(self) -> bool:
+    def run(self) -> bool:
+        """Enumerate by HLT with lookahead; False when the cap was hit."""
         start = 1  # live cosets below start have every relator closed, rows full
+        cols, p = self.cols, self.p
         while True:
             a = start
             try:
                 if start == 1:
-                    for w in self.subs:
-                        self._scan_and_fill(1, w)
-                while a < len(self.tbl):
-                    if self.p[a] == a:
-                        for w in self.rels:
-                            self._scan_and_fill(a, w)
-                            if self.p[a] != a:
-                                break
-                        if self.p[a] == a:
-                            row = self.tbl[a]
-                            for c in range(self.ncols):
-                                if not row[c]:
-                                    self._define(a, c)
+                    self._scan(1, self.subs, True)
+                while a < len(p):
+                    if p[a] == a:
+                        self._scan(a, self.rels, True)
+                    if p[a] == a:
+                        for col, inv in self.pairs:
+                            if not col[a]:
+                                n = len(p)
+                                if n > self.max:
+                                    raise _TableFull
+                                for column in cols:
+                                    column.append(0)
+                                p.append(n)
+                                col[a] = n
+                                inv[n] = a
                     a += 1
                 return True
             except _TableFull:
@@ -471,114 +436,54 @@ class _Enumerator:
         Returns where HLT resumes, the renumbered first live coset at or
         after ``start``, or 0 when the pass freed too little to go on.
         """
-        before = self.live
         p = self.p
-        a = start
-        while a < len(self.tbl):
+        before = sum(1 for a in range(1, len(p)) if p[a] == a)
+        for a in range(start, len(p)):
             if p[a] == a:
-                for w in self.rels:
-                    if p[a] != a:
-                        break
-                    self._scan_check(a, w)
-            a += 1
+                self._scan(a, self.rels, False)
         resume = 1 + sum(1 for b in range(1, start) if p[b] == b)
         self._compress()
-        freed = before - self.live
-        if len(self.tbl) - 1 < self.max and freed >= max(1, self.max // 100):
+        live = len(p) - 1
+        if live < self.max and before - live >= max(1, self.max // 100):
             return resume
         return 0
 
-    def _run_felsch(self) -> bool:
-        while True:
-            try:
-                for w in self.subs:
-                    self._scan_and_fill(1, w)
-                self._process_deductions()
-                a = 1
-                while a < len(self.tbl):
-                    if self.p[a] == a:
-                        c = 0
-                        while c < self.ncols:
-                            if self.p[a] != a:
-                                break
-                            if not self.tbl[a][c]:
-                                self._define(a, c)
-                                self._process_deductions()
-                            c += 1
-                    a += 1
-                return True
-            except _TableFull:
-                self.dstack.clear()
-                self._compress()
-                if len(self.tbl) - 1 >= self.max:
-                    return False
-                # re-seed the deduction stack so propagation stays exhaustive
-                for a in range(1, len(self.tbl)):
-                    row = self.tbl[a]
-                    for c in range(self.ncols):
-                        if row[c]:
-                            self.dstack.append((a, c))
-
-    def _process_deductions(self):
-        dstack, p = self.dstack, self.p
-        ded = self.ded
-        while dstack:
-            a, c = dstack.pop()
-            if p[a] != a:
-                continue
-            for w in ded.get(c, ()):
-                self._scan_check(a, w)
-                if p[a] != a:
-                    break
-
-    # -- housekeeping ----------------------------------------------------
-
     def _compress(self):
-        tbl, p = self.tbl, self.p
-        remap = [0] * len(tbl)
-        new = 0
-        for a in range(1, len(tbl)):
-            if p[a] == a:
-                new += 1
-                remap[a] = new
-        rows: List[List[int]] = [[]]
-        for a in range(1, len(tbl)):
-            if p[a] == a:
-                rows.append([remap[self._rep(e)] if e else 0 for e in tbl[a]])
-        self.tbl = rows
-        self.p = list(range(len(rows)))
-        self.live = new
+        """Drop the dead rows and renumber the live cosets in order."""
+        p = self.p
+        live = [a for a in range(1, len(p)) if p[a] == a]
+        remap = [0] * len(p)
+        for new, a in enumerate(live, 1):
+            remap[a] = new
+        for col in self.cols:
+            col[1:] = [remap[col[a]] for a in live]
+        self.dropped += len(p) - 1 - len(live)
+        p[:] = range(len(live) + 1)
 
     def rows(self, complete: bool) -> Tuple[Tuple[int, ...], ...]:
         """The finished table as 0-based rows, -1 for an undefined entry.
 
-        A complete table is standardized straight off the live rows,
-        resolving entries through the union-find, since the rows of dead
-        cosets and entries pointing at them remain.  An overflow run has
-        just compressed its table, so its rows are the live rows.
+        A complete table is standardized straight off the live rows, so
+        dead rows are never visited.  An overflow run has just
+        compressed its table, so its rows are the live rows.
         """
-        tbl, ncols = self.tbl, self.ncols
+        cols = self.cols
         if not complete:
-            return tuple(tuple(e - 1 for e in row) for row in tbl[1:])
-        p, rep = self.p, self._rep
-        label = [-1] * len(tbl)
+            return tuple(zip(*[[e - 1 for e in col[1:]] for col in cols]))
+        label = [-1] * len(self.p)
         label[1] = 0
         order = [1]
         flat: List[int] = []
         push = flat.append
         for a in order:
-            for e in tbl[a]:
-                if p[e] != e:
-                    e = rep(e)
+            for col in cols:
+                e = col[a]
                 b = label[e]
                 if b < 0:
                     b = label[e] = len(order)
                     order.append(e)
                 push(b)
-        return tuple(zip(*[iter(flat)] * ncols))
-
-    def run(self) -> bool:
-        return self._run_felsch() if self.felsch else self._run_hlt()
+        return tuple(zip(*[iter(flat)] * len(cols)))
 
 
 def _reduce_powers(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
@@ -646,11 +551,7 @@ def _scan_list(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
     return tuple(out)
 
 
-def todd_coxeter(
-    pres: FinitePresentation,
-    max_cosets: int = 1_000_000,
-    strategy: str = "hlt",
-) -> CosetTable:
+def todd_coxeter(pres: FinitePresentation, max_cosets: int = 1_000_000) -> CosetTable:
     """Enumerate cosets of the presentation's subgroup.
 
     Returns a complete standardized table whose count is the subgroup
@@ -658,16 +559,11 @@ def todd_coxeter(
     enough (the enumeration is a semi-decision procedure: overflow means
     undecided).
     """
-    if strategy not in ("hlt", "felsch"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    felsch = strategy == "felsch"
-    rels = _reduce_powers(pres.relators)
     enum = _Enumerator(
         len(pres.generators),
-        rels if felsch else _scan_list(rels),
+        _scan_list(_reduce_powers(pres.relators)),
         pres.subgroup,
         max_cosets,
-        felsch,
     )
     complete = enum.run()
     rows = enum.rows(complete)
@@ -702,6 +598,8 @@ def audit_table(table: CosetTable, pres: FinitePresentation):
         raise ValueError("row count does not match coset count")
     every = list(range(count))
     cols = list(zip(*rows)) or [()] * ncols
+    # entries in range with cols[c ^ 1][col[i]] == i for every i make each
+    # column a bijection, with column c ^ 1 its inverse
     sound = all(len(row) == ncols for row in rows) and all(
         0 <= min(col, default=0)
         and max(col, default=0) < count
@@ -710,9 +608,6 @@ def audit_table(table: CosetTable, pres: FinitePresentation):
     )
     if not sound:
         _raise_first_bad_entry(rows, count, ncols)
-    for c, col in enumerate(cols):
-        if sorted(col) != every:
-            raise ValueError(f"column {c} is not a permutation")
     for r in pres.relators:
         cur = every
         for c in _Enumerator._columns(r):

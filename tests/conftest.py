@@ -2,15 +2,18 @@
 
 The oracles here re-derive expected values through separate machinery
 (letter-stack reduction in the free product, breadth-first conjugate
-search, set-based cyclic permutation tests) so that library code is
-never checked against itself.
+search, set-based cyclic permutation tests, a row-major coset enumerator
+that restarts at coset 1) so that library code is never checked against
+itself.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import List, Tuple
 
+from cycpres.enumerate import CosetTable, _reduce_powers, _scan_list, audit_table
 from cycpres.relative import RelativeWord
 from cycpres.words import Word, concat, free_reduce, invert
 
@@ -125,3 +128,155 @@ def min_conjugate_length(w: Word) -> int:
                         new.append(v)
         frontier = new
     return best
+
+
+# -- coset enumeration: row-major HLT that restarts at coset 1 ---------------
+
+class TableFull(Exception):
+    pass
+
+
+class RestartEnumerator:
+    """Reference oracle: row-major HLT that restarts at coset 1.
+
+    A list of rows and a union-find, as the library enumerator stored
+    its table before it went column-major, with lookahead and the HLT
+    pass after it both restarting at coset 1 where the library resumes
+    at the first live coset not yet closed.  The library must reach the
+    same table with the same number of definitions, since the cosets
+    below that point have every relator closed and a full row.
+    """
+
+    def __init__(self, pres, max_cosets):
+        def columns(w):
+            return tuple(2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1 for g in w)
+
+        self.ncols = 2 * len(pres.generators)
+        self.max = max_cosets
+        self.rels = [columns(w) for w in _scan_list(_reduce_powers(pres.relators))]
+        self.subs = [columns(w) for w in pres.subgroup]
+        self.tbl = [[], [0] * self.ncols]
+        self.p = [0, 1]
+        self.live = self.defined = 1
+        self.lookaheads = 0
+
+    def rep(self, k):
+        while self.p[k] != k:
+            k = self.p[k]
+        return k
+
+    def merge(self, a, b, queue):
+        a, b = sorted((self.rep(a), self.rep(b)))
+        if a != b:
+            self.p[b] = a
+            self.live -= 1
+            queue.append(b)
+
+    def coincide(self, a, b):
+        tbl, queue = self.tbl, deque()
+        self.merge(a, b, queue)
+        while queue:
+            g = queue.popleft()
+            for c in range(self.ncols):
+                d = tbl[g][c]
+                if d:
+                    tbl[d][c ^ 1] = 0
+                    mu, nu = self.rep(g), self.rep(d)
+                    if tbl[mu][c]:
+                        self.merge(nu, tbl[mu][c], queue)
+                    elif tbl[nu][c ^ 1]:
+                        self.merge(mu, tbl[nu][c ^ 1], queue)
+                    else:
+                        tbl[mu][c], tbl[nu][c ^ 1] = nu, mu
+
+    def define(self, a, c):
+        if len(self.tbl) - 1 >= self.max:
+            raise TableFull
+        b = len(self.tbl)
+        self.tbl.append([0] * self.ncols)
+        self.p.append(b)
+        self.tbl[a][c], self.tbl[b][c ^ 1] = b, a
+        self.live += 1
+        self.defined += 1
+
+    def scan(self, a, w, fill):
+        tbl = self.tbl
+        i, j, f, b = 0, len(w) - 1, a, a
+        while True:
+            while i <= j and tbl[f][w[i]]:
+                f, i = tbl[f][w[i]], i + 1
+            if i > j:
+                if f != b:
+                    self.coincide(f, b)
+                return
+            while j >= i and tbl[b][w[j] ^ 1]:
+                b, j = tbl[b][w[j] ^ 1], j - 1
+            if j < i:
+                self.coincide(f, b)
+            elif j == i:
+                tbl[f][w[i]], tbl[b][w[i] ^ 1] = b, f
+            elif fill:
+                self.define(f, w[i])
+                continue
+            return
+
+    def run(self):
+        while True:
+            try:
+                for w in self.subs:
+                    self.scan(1, w, True)
+                a = 1
+                while a < len(self.tbl):
+                    for w in self.rels:
+                        if self.p[a] == a:
+                            self.scan(a, w, True)
+                    for c in range(self.ncols):
+                        if self.p[a] == a and not self.tbl[a][c]:
+                            self.define(a, c)
+                    a += 1
+                return True
+            except TableFull:
+                if not self.lookahead():
+                    return False
+
+    def lookahead(self):
+        self.lookaheads += 1
+        before = self.live
+        for a in range(1, len(self.tbl)):
+            for w in self.rels:
+                if self.p[a] == a:
+                    self.scan(a, w, False)
+        live = [a for a in range(1, len(self.tbl)) if self.p[a] == a]
+        remap = {a: i for i, a in enumerate(live, 1)}
+        self.tbl = [[]] + [
+            [remap[self.rep(e)] if e else 0 for e in self.tbl[a]] for a in live
+        ]
+        self.p = list(range(len(self.tbl)))
+        self.live = len(live)
+        return self.live < self.max and before - self.live >= max(1, self.max // 100)
+
+    def table(self):
+        """(status, defined, rows) as todd_coxeter reports them."""
+        if not self.run():
+            rows = tuple(tuple(e - 1 for e in row) for row in self.tbl[1:])
+            return "overflow", self.defined, rows
+        label, order, rows = {1: 0}, [1], []
+        for a in order:
+            row = []
+            for e in self.tbl[a]:
+                e = self.rep(e)
+                if e not in label:
+                    label[e] = len(order)
+                    order.append(e)
+                row.append(label[e])
+            rows.append(tuple(row))
+        return "complete", self.defined, tuple(rows)
+
+
+def restart_todd_coxeter(pres, max_cosets: int = 1_000_000) -> CosetTable:
+    """``todd_coxeter`` through the restart reference; complete tables audited."""
+    status, defined, rows = RestartEnumerator(pres, max_cosets).table()
+    table = CosetTable(pres.generators, rows, status, len(rows), defined)
+    if table.complete:
+        audit_table(table, pres)
+    return table

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+import cycpres.dynamics as dynamics_module
 from cycpres.cyclic import gnkl
 from cycpres.dynamics import (
     EnumerationIncomplete,
@@ -13,6 +14,8 @@ from cycpres.dynamics import (
 from cycpres.enumerate import generator_permutation, todd_coxeter
 from cycpres.relative import lift, to_relative
 from cycpres.words import parse_word
+
+from conftest import restart_todd_coxeter
 
 
 def test_original_fibonacci_group():
@@ -111,8 +114,12 @@ def test_verify_n18_evidence():
     assert ev.b_fixed_points == 3
 
 
-@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
-def test_strategies_agree_on_reports(strategy):
-    rep = shift_orbits(7, gnkl(7, 0, 3).word, strategy=strategy)
+@pytest.mark.parametrize(
+    "enumerate_cosets", [todd_coxeter, restart_todd_coxeter], ids=["hlt", "restart"]
+)
+def test_strategies_agree_on_reports(enumerate_cosets, monkeypatch):
+    # the restart reference stands in for the library kernel
+    monkeypatch.setattr(dynamics_module, "todd_coxeter", enumerate_cosets)
+    rep = shift_orbits(7, gnkl(7, 0, 3).word)
     assert rep.total_points == 129
     assert rep.fixed_counts[1] >= 3

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -8,10 +9,8 @@ from cycpres.enumerate import (
     MAX_WORD_LENGTH,
     CosetTable,
     FinitePresentation,
-    _Enumerator,
     _reduce_powers,
     _scan_list,
-    _TableFull,
     audit_table,
     generator_permutation,
     parse_presentation,
@@ -21,6 +20,8 @@ from cycpres.enumerate import (
 from cycpres.relative import RelativeWord, lift, to_relative
 from cycpres.taxonomy import classify
 from cycpres.words import parse_word
+
+from conftest import RestartEnumerator, restart_todd_coxeter
 
 K_TEXT = """\
 gens: b u
@@ -38,6 +39,12 @@ def cyclic_pres(n):
 
 def dihedral_pres(n):
     return FinitePresentation.make(("r", "s"), (f"r^{n}", "s^2", "r s r s"))
+
+
+# the library kernel and the row-major restart reference must both pass
+ENUMERATORS = pytest.mark.parametrize(
+    "enumerate_cosets", [todd_coxeter, restart_todd_coxeter], ids=["hlt", "restart"]
+)
 
 
 # -- presentations and parsing ----------------------------------------------
@@ -94,26 +101,26 @@ def test_parse_presentation_rejects_garbage():
 
 # -- order correctness on knowns -----------------------------------------------
 
-@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
-def test_cyclic_orders(strategy):
+@ENUMERATORS
+def test_cyclic_orders(enumerate_cosets):
     for n in (1, 2, 5, 12, 20):
-        t = todd_coxeter(cyclic_pres(n), strategy=strategy)
+        t = enumerate_cosets(cyclic_pres(n))
         assert t.complete and t.count == n
 
 
-@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
-def test_dihedral_orders(strategy):
+@ENUMERATORS
+def test_dihedral_orders(enumerate_cosets):
     for n in range(1, 21):
-        t = todd_coxeter(dihedral_pres(n), strategy=strategy)
+        t = enumerate_cosets(dihedral_pres(n))
         assert t.complete and t.count == 2 * n
 
 
-@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
-def test_k_group_orders(strategy):
+@ENUMERATORS
+def test_k_group_orders(enumerate_cosets):
     p = parse_presentation(K_TEXT)
-    full = todd_coxeter(replace(p, subgroup=()), strategy=strategy)
+    full = enumerate_cosets(replace(p, subgroup=()))
     assert full.count == 342
-    over_b = todd_coxeter(p, strategy=strategy)
+    over_b = enumerate_cosets(p)
     assert over_b.count == 57
     perm = generator_permutation(over_b, "b")
     assert sum(1 for i, img in enumerate(perm) if i == img) == 3
@@ -141,10 +148,9 @@ def test_index_multiplicativity():
 
 def test_standardized_determinism_and_strategy_agreement():
     p = parse_presentation(K_TEXT)
-    t1 = todd_coxeter(p, strategy="hlt")
-    t2 = todd_coxeter(p, strategy="hlt")
-    t3 = todd_coxeter(p, strategy="felsch")
-    assert t1.rows == t2.rows == t3.rows
+    t1 = todd_coxeter(p)
+    t2 = todd_coxeter(p)
+    assert t1.rows == t2.rows
 
 
 # -- soundness audit --------------------------------------------------------------
@@ -188,6 +194,29 @@ def test_audit_names_the_first_bad_entry(edit, message):
     bad = _corrupted(todd_coxeter(pres), edit)
     with pytest.raises(ValueError, match=f"^{message}$"):
         audit_table(bad, pres)
+
+
+S3_OVER_S = FinitePresentation.make(("r", "s"), ("r^3", "s^2", "r s r s"), ("s",))
+
+
+@pytest.mark.parametrize("pres", [cyclic_pres(5), S3_OVER_S], ids=["C_5", "S_3/<s>"])
+def test_audit_rejects_every_single_entry_corruption(pres):
+    table = todd_coxeter(pres)
+    corruptions = 0
+    for i, row in enumerate(table.rows):
+        for c, old in enumerate(row):
+            for new in range(table.count):
+                if new == old:
+                    continue
+                bad = _corrupted(table, lambda r: r[i].__setitem__(c, new))
+                # (i, c) lost its inverse, and so did (old, c ^ 1), which
+                # still points at i; the first of the two in row order is named
+                first = min((i, c), (old, c ^ 1))
+                message = rf"^entry \({first[0]},{first[1]}\) lacks an inverse entry$"
+                with pytest.raises(ValueError, match=message):
+                    audit_table(bad, pres)
+                corruptions += 1
+    assert corruptions == table.count * len(table.rows[0]) * (table.count - 1)
 
 
 def test_audit_names_the_coset_a_relator_does_not_close_at():
@@ -245,15 +274,15 @@ def test_generator_permutation_rejects_incomplete():
 
 # -- overflow is first class -----------------------------------------------------
 
-@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
-def test_overflow_on_infinite_groups(strategy):
+@ENUMERATORS
+def test_overflow_on_infinite_groups(enumerate_cosets):
     z2 = FinitePresentation.make(("a", "b"), ("a b A B",))
-    t = todd_coxeter(z2, max_cosets=300, strategy=strategy)
+    t = enumerate_cosets(z2, max_cosets=300)
     assert t.status == "overflow"
     assert t.count <= 300 and t.defined >= t.count
 
     free = FinitePresentation.make(("a", "b"), ())
-    assert todd_coxeter(free, max_cosets=100, strategy=strategy).status == "overflow"
+    assert enumerate_cosets(free, max_cosets=100).status == "overflow"
 
 
 def test_overflow_cap_one_is_legal():
@@ -333,8 +362,8 @@ def _shifted_lift(W, n, signs):
     return FinitePresentation(("a", "x"), ((1,) * n, tuple(rel)), ((1,),))
 
 
-@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
-def test_tables_do_not_depend_on_how_a_exponents_are_written(strategy):
+@ENUMERATORS
+def test_tables_do_not_depend_on_how_a_exponents_are_written(enumerate_cosets):
     triples = [
         (n, k, l)
         for n in range(2, 9)
@@ -345,11 +374,11 @@ def test_tables_do_not_depend_on_how_a_exponents_are_written(strategy):
     assert len(triples) == 123
     for n, k, l in triples:
         W = to_relative(gnkl(n, k, l).word, n)
-        base = todd_coxeter(replace(lift(W, n), subgroup=((1,),)), strategy=strategy)
+        base = enumerate_cosets(replace(lift(W, n), subgroup=((1,),)))
         assert base.complete
         for signs in ((1, 1, 1), (-1, -1, -1), (1, -1, 1)):
             pres = _shifted_lift(W, n, signs)
-            t = todd_coxeter(pres, strategy=strategy)
+            t = enumerate_cosets(pres)
             assert t.rows == base.rows, (n, k, l, signs)
             audit_table(t, pres)
 
@@ -376,16 +405,22 @@ def test_g12_8_5_extension_work():
     assert t.defined <= 40_000
 
 
+def test_table_memory_of_a_large_extension():
+    # a column-major table: 4.4 MiB here, 7.3 MiB with a list per row
+    pres = extension(12, 9, 8)
+    tracemalloc.start()
+    try:
+        t = todd_coxeter(pres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.complete and t.count == 4095
+    assert peak < 6 * 2**20
+
+
 def test_g11_4_4_extension_completes_under_a_small_cap():
     t = todd_coxeter(extension(11, 4, 4), max_cosets=3000)
     assert t.complete and t.count == 2049
-
-
-def test_felsch_work_is_unchanged_by_the_scan_list():
-    k = parse_presentation(K_TEXT)
-    assert todd_coxeter(k, strategy="felsch").defined == 164
-    assert todd_coxeter(replace(k, subgroup=()), strategy="felsch").defined == 857
-    assert todd_coxeter(extension(12, 8, 5), strategy="felsch").defined == 21_782
 
 
 # -- HLT scan list: cyclic conjugates at free-generator letters ----------------
@@ -437,56 +472,6 @@ def test_scan_list_letters_are_bounded():
     assert _scan_list((fits, (1, 2))) == _scan_list((fits,)) + ((1, 2),)
 
 
-class _RestartEnumerator(_Enumerator):
-    """Reference oracle: HLT restarting lookahead and scans at coset 1.
-
-    The library resumes at the first live coset not yet closed; this
-    copy of the earlier restart rule must reach the same table with the
-    same number of definitions, since the cosets below that point have
-    every relator closed and a full row.
-    """
-
-    lookaheads = 0
-
-    def _run_hlt(self):
-        while True:
-            try:
-                for w in self.subs:
-                    self._scan_and_fill(1, w)
-                a = 1
-                while a < len(self.tbl):
-                    if self.p[a] == a:
-                        for w in self.rels:
-                            self._scan_and_fill(a, w)
-                            if self.p[a] != a:
-                                break
-                        if self.p[a] == a:
-                            row = self.tbl[a]
-                            for c in range(self.ncols):
-                                if not row[c]:
-                                    self._define(a, c)
-                    a += 1
-                return True
-            except _TableFull:
-                if not self._lookahead():
-                    return False
-
-    def _lookahead(self):
-        type(self).lookaheads += 1
-        before = self.live
-        a = 1
-        while a < len(self.tbl):
-            if self.p[a] == a:
-                for w in self.rels:
-                    if self.p[a] != a:
-                        break
-                    self._scan_check(a, w)
-            a += 1
-        self._compress()
-        freed = before - self.live
-        return len(self.tbl) - 1 < self.max and freed >= max(1, self.max // 100)
-
-
 RESUME_CASES = [
     # finite "C without A" triples that reach a 3,000-row cap
     (10, 0, 1), (10, 3, 0), (11, 0, 9), (11, 2, 2), (11, 4, 4), (12, 0, 1),
@@ -496,13 +481,14 @@ RESUME_CASES = [
 ]
 
 
-def test_resume_after_lookahead_matches_restart(monkeypatch):
-    ours = [todd_coxeter(extension(*t), max_cosets=3000) for t in RESUME_CASES]
-    monkeypatch.setattr(enumerate_module, "_Enumerator", _RestartEnumerator)
-    for t, got in zip(RESUME_CASES, ours):
-        ref = todd_coxeter(extension(*t), max_cosets=3000)
-        assert (got.status, got.defined, got.rows) == (
-            ref.status, ref.defined, ref.rows,
-        ), t
-    assert _RestartEnumerator.lookaheads >= len(RESUME_CASES)
-    assert {t.status for t in ours} == {"complete", "overflow"}
+def test_resume_after_lookahead_matches_restart():
+    lookaheads = 0
+    statuses = set()
+    for t in RESUME_CASES:
+        got = todd_coxeter(extension(*t), max_cosets=3000)
+        ref = RestartEnumerator(extension(*t), 3000)
+        assert (got.status, got.defined, got.rows) == ref.table(), t
+        lookaheads += ref.lookaheads
+        statuses.add(got.status)
+    assert lookaheads >= len(RESUME_CASES)
+    assert statuses == {"complete", "overflow"}
