@@ -8,10 +8,14 @@ from dataclasses import replace
 from cycpres import (
     FinitePresentation,
     generator_permutation,
+    gnkl,
+    lift,
     parse_presentation,
     semidirect_presentation,
+    to_relative,
     todd_coxeter,
 )
+from cycpres.enumerate import relabel
 
 # Small sanity cases first: cyclic and dihedral groups.
 for n in (5, 12):
@@ -46,6 +50,15 @@ E = semidirect_presentation(5, 0, 1)
 print("\nextension presentation for (5,0,1):")
 print(E)
 print("|E| =", todd_coxeter(E).count, "(= n times the order of G_5(0,1))")
+
+# todd_coxeter enumerates the shortest form of (a, x : a^n, W) under
+# a = b^beta, x = y b^{-d}, and rebuilds the table in a and x.
+E = replace(lift(to_relative(gnkl(12, 9, 8).word, 12), 12), subgroup=((1,),))
+form, _, beta, d = relabel(E)
+print("\nG_12(9,8): W =", E.word_text(E.relators[1]))
+print(f"enumerated with beta = {beta}, d = {d} as W =", form.word_text(form.relators[1]))
+t = todd_coxeter(E)
+print(f"index {t.count}, {t.defined} cosets defined")
 
 # The table itself: columns are the generator actions on cosets.
 t = todd_coxeter(FinitePresentation.make(("a",), ("a^4",)))

@@ -19,7 +19,7 @@ from .words import Word, concat, free_reduce, invert, is_cyclic_perm, shift
 class CyclicPresentation:
     """n together with a nonempty, cyclically reduced defining word."""
 
-    __slots__ = ("n", "word", "relators")
+    __slots__ = ("n", "word")
 
     def __init__(self, n: int, word: Word):
         if word.n != n:
@@ -30,7 +30,11 @@ class CyclicPresentation:
             raise ValueError(f"defining word {word!r} is not cyclically reduced")
         self.n = n
         self.word = word
-        self.relators = tuple(shift(word, i) for i in range(n))
+
+    @property
+    def relators(self) -> Tuple[Word, ...]:
+        """The n shifts of the defining word, built when asked for."""
+        return tuple(shift(self.word, i) for i in range(self.n))
 
     def __eq__(self, other) -> bool:
         return (

@@ -37,6 +37,22 @@ coset below that point has every relator closed and a full row, and
 coincidences keep both, so scanning those cosets again would define and
 merge nothing.
 
+Before any of that, ``relabel`` picks new generators for presentations
+on two generators g and x in which g alone has a power relator g^m and
+every subgroup generator is a power of g, such as the extension
+(a, x : a^n, W) over <a>.  In new generators b and y with g = b^beta
+(beta a unit mod m) and x = y b^{-d}, the other relators are rewritten
+from their (x-sign, g-run) syllables by integer arithmetic, and the form
+with the fewest letters is enumerated: G_12(9,8)'s W = x a^-3 x A x a^4
+becomes x a x A x (beta = 5, d = -4).  This changes the generating set,
+not the group or the subgroup, so the table is the same, but the work
+is not: over the 297 finite extensions with n <= 12, HLT defines 452,044
+cosets instead of 1,581,117 (1.76 instead of 6.17 per unit of index).
+The columns of g and x are then rebuilt from those of b and y as whole
+columns, g = b^beta and G = B^beta by repeated squaring and x = y b^{-d}
+and X = b^d Y by composition, with entry 0 still meaning undefined, so
+the one finish below serves both forms.
+
 The table is stored column-major: one list per generator and inverse
 column, indexed by coset, beside the union-find list.  Defining a coset
 appends an empty entry to each column, and compression rewrites the
@@ -77,7 +93,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Dict, Iterable, List, Sequence, Tuple
+from math import gcd
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 WordInts = Tuple[int, ...]  # letters as nonzero signed 1-based generator numbers
 
@@ -486,6 +503,12 @@ class _Enumerator:
         return tuple(zip(*[iter(flat)] * len(cols)))
 
 
+def _reduced(e: int, m: int) -> int:
+    """e modulo m, reduced into (-m/2, m/2]."""
+    e %= m
+    return e - m if 2 * e > m else e
+
+
 def _reduce_powers(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
     """Shorten relators modulo the power relators among them.
 
@@ -516,9 +539,7 @@ def _reduce_powers(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
             if m is None:
                 rel.extend(run)
                 continue
-            e = sum(1 if c > 0 else -1 for c in run) % m
-            if 2 * e > m:
-                e -= m
+            e = _reduced(sum(1 if c > 0 else -1 for c in run), m)
             rel.extend([g] * e if e > 0 else [-g] * -e)
         if rel:
             out.append(tuple(rel))
@@ -551,21 +572,173 @@ def _scan_list(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
     return tuple(out)
 
 
+class Relabelling(NamedTuple):
+    """The form in which ``todd_coxeter`` enumerates a presentation.
+
+    ``presentation`` is written in new generators b and y, which keep the
+    names and places of the caller's g (generator number ``power``,
+    1-based) and x, with g = b^beta and x = y b^{-d}.  When the caller's
+    presentation is enumerated as given, it is ``presentation``, ``power``
+    is 0, ``beta`` is 1 and ``d`` is 0.
+    """
+
+    presentation: FinitePresentation
+    power: int
+    beta: int
+    d: int
+
+
+def relabel(pres: FinitePresentation) -> Relabelling:
+    """The shortest form of ``pres`` under g = b^beta, x = y b^{-d}.
+
+    Applies to a presentation on two generators g and x in which, once
+    relators are shortened by ``_reduce_powers``, exactly one relator is a
+    power g^m (or G^m) and every subgroup generator is a power of g.
+    Every other relator is read as cyclic syllables x^{s_i} g^{p_i}
+    (rotated to begin at an x); in the new generators the run after
+    x^{s_i} is ``beta p_i + d ([s_{i+1} = -1] - [s_i = +1])``, reduced
+    into (-m/2, m/2], so lengths come from integer arithmetic and no
+    candidate word is spelled out.  beta runs over the units mod m up to
+    m/2 (beta and -beta give the same lengths), and for each beta only
+    d = 0 and the d that make one run vanish are tried: between two such
+    d every run's length is concave in d, and the d tried reach the least
+    length for each beta.  The fewest letters win; ties go to the
+    caller's form, then to the least beta, then to the least d tried, in
+    (-m/2, m/2].  A beta is tried only when it keeps the first run the d
+    does not zero within the best length so far (``_units_near``), so the
+    search costs about that length, not m.  A subgroup generator g^e
+    becomes b^{gcd(e, m)}, which generates the same subgroup.
+    Relabelling the form returned gives it back unchanged.
+    """
+    unchanged = Relabelling(pres, 0, 1, 0)
+    rels = _reduce_powers(pres.relators)
+    powers = [i for i, w in enumerate(rels) if w.count(w[0]) == len(w)]
+    if len(pres.generators) != 2 or len(powers) != 1:
+        return unchanged
+    g, m = abs(rels[powers[0]][0]), len(rels[powers[0]])
+    x = 3 - g
+    if any(abs(c) != g for w in pres.subgroup for c in w):
+        return unchanged
+    words = {i: _syllables(w, x) for i, w in enumerate(rels) if i != powers[0]}
+    runs = [(p, c) for syllables in words.values() for _, p, c in syllables]
+
+    def letters(beta: int, d: int) -> int:
+        return sum(min(t, m - t) for t in ((beta * p + c * d) % m for p, c in runs))
+
+    # (letters, not as given, beta, d): the least wins
+    best = (letters(1, 0), False, 1, 0)
+    # d = 0, or the d = -c' beta p' that zeroes a run (p', c'); either way
+    # each run (p, c) becomes beta q for a fixed q = p - c c' p'
+    for p2, c2 in [(0, 0)] + [(p, c) for p, c in runs if c]:
+        q = next((q for q in ((p - c * c2 * p2) % m for p, c in runs) if q), 0)
+        # a beta that ties or beats the best keeps beta q that close to 0 mod m
+        for beta in _units_near(q, best[0], m) if q else [1]:
+            d = _reduced(-c2 * beta * p2, m)
+            best = min(best, (letters(beta, d), (beta, d) != (1, 0), beta, d))
+    _, moved, beta, d = best
+    if not moved:
+        return unchanged
+    relators = list(rels)
+    for i, syllables in words.items():
+        word: List[int] = []
+        for s, p, c in syllables:
+            r = _reduced(beta * p + c * d, m)
+            word += [s * x] + ([g] * r if r > 0 else [-g] * -r)
+        relators[i] = tuple(word)
+    subgroup = tuple(
+        (g,) * gcd(sum(1 if c > 0 else -1 for c in w), m) for w in pres.subgroup
+    )
+    form = FinitePresentation(pres.generators, tuple(relators), subgroup)
+    return Relabelling(form, g, beta, d)
+
+
+def _units_near(q: int, bound: int, m: int) -> List[int]:
+    """The units beta <= m/2 mod m with beta q within ``bound`` of a multiple of m.
+
+    Each residue r = beta q (mod m) with 0 < |r| <= bound that gcd(q, m)
+    divides is solved for beta, so the work is about 2 * bound, not m.
+    """
+    g = gcd(q, m)
+    step = m // g
+    inv = pow(q // g, -1, step)
+    out = set()
+    for r in range(g, min(bound, m // 2) + 1, g):
+        for start in (r // g * inv % step, -r // g * inv % step):
+            out.update(b for b in range(start, m // 2 + 1, step) if gcd(b, m) == 1)
+    return sorted(out)
+
+
+def _syllables(word: WordInts, x: int) -> List[Tuple[int, int, int]]:
+    """A relator's cyclic syllables x^s g^p, as (s, p, c), from its first x.
+
+    c = [next s = -1] - [s = +1] is how far the run p moves per unit of d
+    when x = y b^{-d}.
+    """
+    first = next(j for j, c in enumerate(word) if abs(c) == x)
+    out: List[List[int]] = []
+    for c in word[first:] + word[:first]:
+        if abs(c) == x:
+            out.append([1 if c > 0 else -1, 0])
+        else:
+            out[-1][1] += 1 if c > 0 else -1
+    return [
+        (s, p, (out[(j + 1) % len(out)][0] == -1) - (s == 1))
+        for j, (s, p) in enumerate(out)
+    ]
+
+
+def _power(col: List[int], e: int) -> List[int]:
+    """The column of the e-th power of a column's generator, e >= 1.
+
+    Whole columns are composed by repeated squaring; entry 0 is the
+    undefined sentinel and maps to itself, so gaps carry through.
+    """
+    out = None
+    while True:
+        if e & 1:
+            out = col if out is None else [col[v] for v in out]
+        e >>= 1
+        if not e:
+            return out
+        col = [col[v] for v in col]
+
+
+def _caller_columns(cols: List[List[int]], power: int, beta: int, d: int):
+    """The columns of g, G, x, X from those of b, B, y, Y (g = b^beta, x = y b^{-d})."""
+    gi = 2 * (power - 1)
+    xi = 2 - gi
+    b, B, y, Y = cols[gi], cols[gi + 1], cols[xi], cols[xi + 1]
+    out = [[]] * 4
+    out[gi], out[gi + 1] = _power(b, beta), _power(B, beta)
+    if d:
+        ahead, back = (B, b) if d > 0 else (b, B)
+        ahead, back = _power(ahead, abs(d)), _power(back, abs(d))  # b^{-d}, b^d
+        y = [ahead[v] for v in y]
+        Y = [Y[v] for v in back]
+    out[xi], out[xi + 1] = y, Y
+    return out
+
+
 def todd_coxeter(pres: FinitePresentation, max_cosets: int = 1_000_000) -> CosetTable:
     """Enumerate cosets of the presentation's subgroup.
 
     Returns a complete standardized table whose count is the subgroup
     index, or an overflow table when ``max_cosets`` live cosets were not
     enough (the enumeration is a semi-decision procedure: overflow means
-    undecided).
+    undecided).  The run enumerates the form ``relabel`` picks, so
+    ``max_cosets`` bounds, and ``defined`` counts, the cosets of that
+    run; the table returned is in the caller's generators.
     """
+    form, power, beta, d = relabel(pres)
     enum = _Enumerator(
         len(pres.generators),
-        _scan_list(_reduce_powers(pres.relators)),
-        pres.subgroup,
+        _scan_list(_reduce_powers(form.relators)),
+        form.subgroup,
         max_cosets,
     )
     complete = enum.run()
+    if power:
+        enum.cols = _caller_columns(enum.cols, power, beta, d)
     rows = enum.rows(complete)
     table = CosetTable(
         pres.generators,

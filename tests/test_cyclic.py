@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -43,6 +44,20 @@ def test_presentation_shifted_relator_count():
     p = presentation(5, parse_word("x0 x1 X2", 5))
     assert len(p.relators) == 5
     assert p.relators[3] == shift(p.word, 3)
+
+
+def test_relators_are_derived_when_asked_for():
+    # n shifted relators are not stored: 391 MB at n = 10^6 when they were
+    tracemalloc.start()
+    try:
+        p = gnkl(10**7, 3, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "relators" not in CyclicPresentation.__slots__
+    assert gnkl(5, 1, 2).relators[4] == shift(gnkl(5, 1, 2).word, 4)
+    assert p.word == Word(10**7, [(0, 1), (3, 1), (7, 1)])
 
 
 def test_presentation_rejects_bad_words():

@@ -14,6 +14,7 @@ from cycpres.enumerate import (
     audit_table,
     generator_permutation,
     parse_presentation,
+    relabel,
     semidirect_presentation,
     todd_coxeter,
 )
@@ -401,12 +402,13 @@ def test_g12_8_5_extension_work():
     t = todd_coxeter(extension(12, 8, 5))
     assert t.count == 4095
     # 122,542 with a-exponents as lift writes them, 64,851 scanning W
-    # from its first letter only
-    assert t.defined <= 40_000
+    # from its first letter only, 34,289 without relabelling
+    assert t.defined <= 10_000
 
 
 def test_table_memory_of_a_large_extension():
-    # a column-major table: 4.4 MiB here, 7.3 MiB with a list per row
+    # relabelled and column-major: 1.7 MiB here; 4.4 MiB enumerating W as
+    # lift writes it, 7.3 MiB with a list per row
     pres = extension(12, 9, 8)
     tracemalloc.start()
     try:
@@ -415,7 +417,21 @@ def test_table_memory_of_a_large_extension():
     finally:
         tracemalloc.stop()
     assert t.complete and t.count == 4095
-    assert peak < 6 * 2**20
+    assert peak < 3 * 2**20
+
+
+def test_huge_extension_overflows_in_bounded_memory():
+    # the relabelling search works on run lengths, and no power of a is
+    # spelled out beyond the a^n the caller wrote; 76 MiB without it
+    pres = extension(10**6, 3, 7)
+    tracemalloc.start()
+    try:
+        t = todd_coxeter(pres, max_cosets=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.status == "overflow" and t.count == 100
+    assert peak < 1.1 * 76 * 2**20
 
 
 def test_g11_4_4_extension_completes_under_a_small_cap():
@@ -472,6 +488,57 @@ def test_scan_list_letters_are_bounded():
     assert _scan_list((fits, (1, 2))) == _scan_list((fits,)) + ((1, 2),)
 
 
+# -- the shortest relabelling g = b^beta, x = y b^{-d} ---------------------------
+
+def test_relabel_picks_the_shortest_form():
+    pres = extension(12, 9, 8)  # W shortens to x a^-3 x A x a^4
+    form, power, beta, d = relabel(pres)
+    assert (power, beta, d) == (1, 5, -4)
+    assert form.relators == ((1,) * 12, (2, 1, 2, -1, 2))
+    assert form.subgroup == ((1,),) and form.generators == ("a", "x")
+
+
+def test_a_relabelled_run_is_audited_once_against_the_callers_presentation(
+    monkeypatch,
+):
+    seen = []
+    monkeypatch.setattr(enumerate_module, "audit_table", lambda t, p: seen.append(p))
+    pres = extension(12, 9, 8)
+    t = todd_coxeter(pres)
+    assert seen == [pres] and t.generators == ("a", "x")
+
+
+def test_relabel_leaves_g12_0_1_as_it_is():
+    pres = extension(12, 0, 1)
+    assert relabel(pres) == (pres, 0, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [
+        FinitePresentation.make(("a", "x", "y"), ("a^5", "x a^2 x A^2 y a")),
+        dihedral_pres(6),  # two generators with power relators
+        FinitePresentation.make(("a", "x"), ("x a^3 x A^3 x",)),  # none
+        FinitePresentation.make(("a", "x"), ("a^7", "x a^3 x a^3"), ("x",)),
+    ],
+    ids=["three generators", "two powers", "no power", "subgroup with x"],
+)
+def test_relabel_leaves_other_presentations_alone(pres):
+    assert relabel(pres) == (pres, 0, 1, 0)
+
+
+def test_relabelling_a_relabelled_presentation_changes_nothing():
+    moved = 0
+    for n in range(2, 13):
+        for k in range(n):
+            for l in range(n):
+                if classify(n, k, l).finite:
+                    form = relabel(extension(n, k, l)).presentation
+                    assert relabel(form) == (form, 0, 1, 0), (n, k, l)
+                    moved += form != extension(n, k, l)
+    assert moved > 0
+
+
 RESUME_CASES = [
     # finite "C without A" triples that reach a 3,000-row cap
     (10, 0, 1), (10, 3, 0), (11, 0, 9), (11, 2, 2), (11, 4, 4), (12, 0, 1),
@@ -485,8 +552,10 @@ def test_resume_after_lookahead_matches_restart():
     lookaheads = 0
     statuses = set()
     for t in RESUME_CASES:
-        got = todd_coxeter(extension(*t), max_cosets=3000)
-        ref = RestartEnumerator(extension(*t), 3000)
+        # relabelling is idempotent, so both enumerate this form as given
+        pres = relabel(extension(*t)).presentation
+        got = todd_coxeter(pres, max_cosets=3000)
+        ref = RestartEnumerator(pres, 3000)
         assert (got.status, got.defined, got.rows) == ref.table(), t
         lookaheads += ref.lookaheads
         statuses.add(got.status)
