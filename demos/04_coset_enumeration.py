@@ -11,7 +11,6 @@ from cycpres import (
     gnkl,
     lift,
     parse_presentation,
-    semidirect_presentation,
     to_relative,
     todd_coxeter,
 )
@@ -45,8 +44,9 @@ t = todd_coxeter(z2, max_cosets=500)
 print("\nfree abelian of rank 2:", t.status,
       f"({t.count} live cosets at the cap)")
 
-# Extensions of cyclic groups by G_n(k,l) come ready-made.
-E = semidirect_presentation(5, 0, 1)
+# The extension (a, x : a^n, W) of the cyclic group of order n by
+# G_n(k,l): lift writes W from the relative form of x_0 x_k x_l.
+E = lift(to_relative(gnkl(5, 0, 1).word, 5), 5)
 print("\nextension presentation for (5,0,1):")
 print(E)
 print("|E| =", todd_coxeter(E).count, "(= n times the order of G_5(0,1))")

@@ -46,7 +46,6 @@ from .enumerate import (
     audit_table,
     generator_permutation,
     parse_presentation,
-    semidirect_presentation,
     todd_coxeter,
 )
 from .dynamics import (
@@ -72,7 +71,7 @@ __all__ = [
     "Classification", "Conditions", "classify", "conditions", "reduce_to_0p",
     "sweep",
     "CosetTable", "FinitePresentation", "audit_table", "generator_permutation",
-    "parse_presentation", "semidirect_presentation", "todd_coxeter",
+    "parse_presentation", "todd_coxeter",
     "EnumerationIncomplete", "FixedPointSummary", "N18Evidence", "OrbitReport",
     "fixed_subgroup_evidence", "orbit_report", "shift_orbits",
     "verify_n18_evidence",

@@ -11,6 +11,7 @@ permutation of a on an enumerated coset table.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -84,24 +85,23 @@ def orbit_report(table: CosetTable, gen: str, n: int) -> OrbitReport:
     """
     perm = generator_permutation(table, gen)
     lengths = _cycle_lengths(perm)
-    if any(n % c != 0 for c in lengths):
+    counts = Counter(lengths)  # cycle length -> how many cycles have it
+    if any(n % c != 0 for c in counts):
         raise ValueError(
             f"orbit length not dividing {n}: cycle type {sorted(lengths)}"
         )
     fixed = {
-        j: sum(c for c in lengths if j % c == 0) for j in range(1, n)
+        j: sum(c * k for c, k in counts.items() if j % c == 0) for j in range(1, n)
     }
-    base_cycle = 1  # coset 0 is fixed: the subgroup absorbs its generator
     if perm[0] != 0:
         raise ValueError("basepoint coset is not fixed by the acting generator")
-    nonbase = [c for c in lengths]
-    nonbase.remove(base_cycle)
+    counts[1] -= 1  # coset 0 is fixed: the subgroup absorbs its generator
     return OrbitReport(
         n=n,
         total_points=table.count,
         cycle_type=tuple(sorted(lengths)),
         fixed_counts=fixed,
-        free_action_on_nonbase=all(c == n for c in nonbase),
+        free_action_on_nonbase=all(c == n for c, k in counts.items() if k),
     )
 
 

@@ -35,7 +35,14 @@ lookahead pass, HLT resumes at the first live coset at or after the one
 it was working on, and the lookahead pass starts there too.  Every live
 coset below that point has every relator closed and a full row, and
 coincidences keep both, so scanning those cosets again would define and
-merge nothing.
+merge nothing.  For the same reason HLT scans a power relator g^m once
+per g-cycle, not once per coset: when a coset's scans leave it alive,
+its g-cycle is closed, so one walk along it records the other cosets on
+it, and those are scanned without g^m, whose scan there would walk a
+closed path and change nothing.  Each HLT pass starts with no records,
+since a lookahead pass renumbers the cosets.  Lookahead scans the whole
+list at every coset: there most g-paths are still open, and walking
+them cost more than the scans it saved.
 
 Before any of that, ``relabel`` picks new generators for presentations
 on two generators g and x in which g alone has a power relator g^m and
@@ -68,10 +75,12 @@ directly, so the rows of dead cosets, which stay in the table until a
 compression, are never visited.  HLT compresses just before it gives
 up, so an overflow table is the live rows as they stand.
 ``audit_table`` then checks a complete table a whole column at a time:
-range and inverse entries per column, and each relator traced from all
-cosets at once, one list pass per letter.  A failure names the first
-offending entry in row order, or the first coset, as a row by row check
-would.
+range entries per column, one inverse pass per generator and its
+inverse (G[g[i]] == i makes g a bijection with inverse G), and each
+relator traced from all cosets at once, one list pass per maximal run
+g^e over the column of g^e, built from squares of g's column computed
+at most once per audit.  A failure names the first offending entry in
+row order, or the first coset, as a row by row check would.
 
 Presentation text format::
 
@@ -297,9 +306,16 @@ class _Enumerator:
     pointing at a dead coset has been cleared.  A word to scan is held
     as the columns it reads forwards and the inverse columns it reads
     backwards; ``_compress`` keeps the column lists, so these stay valid.
+
+    A scan word that is one column repeated is a power relator g^m.  Each
+    HLT pass keeps one record per power relator, the cosets whose g-cycle
+    is known closed (a g^m = a), and scans a coset without the power
+    relators whose records hold it.
     """
 
-    __slots__ = ("max", "cols", "pairs", "rels", "subs", "p", "dropped")
+    __slots__ = (
+        "max", "cols", "pairs", "rels", "subs", "p", "dropped", "powers", "lists"
+    )
 
     def __init__(
         self,
@@ -315,6 +331,10 @@ class _Enumerator:
         self.subs = [self._reads(w) for w in subgroup]
         self.p = [0, 1]
         self.dropped = 0  # dead rows removed by compressions
+        # each power relator g^m as (its bit, its place in rels, g's column)
+        powers = [i for i, w in enumerate(relators) if w.count(w[0]) == len(w)]
+        self.powers = [(1 << j, i, self.rels[i][0][0]) for j, i in enumerate(powers)]
+        self.lists = {0: self.rels}  # bits of skipped power relators -> words to scan
 
     @staticmethod
     def _columns(word: WordInts) -> WordInts:
@@ -417,18 +437,46 @@ class _Enumerator:
                     continue
                 break
 
+    def _words(self, skipped: int):
+        """The scan list without the power relators whose bits are in ``skipped``."""
+        words = self.lists.get(skipped)
+        if words is None:
+            drop = {i for bit, i, _ in self.powers if skipped & bit}
+            words = [w for i, w in enumerate(self.rels) if i not in drop]
+            self.lists[skipped] = words
+        return words
+
     def run(self) -> bool:
         """Enumerate by HLT with lookahead; False when the cap was hit."""
         start = 1  # live cosets below start have every relator closed, rows full
-        cols, p = self.cols, self.p
+        cols, p, lists = self.cols, self.p, self.lists
+        full = (1 << len(self.powers)) - 1  # every power relator skipped
         while True:
             a = start
+            # one record per power relator: its bit, g's column and the
+            # cosets whose g-cycle is known closed, so g^m is not scanned there
+            records = [(bit, col, set()) for bit, _, col in self.powers]
             try:
                 if start == 1:
                     self._scan(1, self.subs, True)
                 while a < len(p):
                     if p[a] == a:
-                        self._scan(a, self.rels, True)
+                        skipped = 0
+                        for bit, _, record in records:
+                            if a in record:
+                                skipped |= bit
+                        words = lists.get(skipped) or self._words(skipped)
+                        self._scan(a, words, True)
+                        if skipped != full and p[a] == a:
+                            # the scans closed each g^m at a: a g^m = a, and
+                            # g^m would change nothing on the rest of a's cycle
+                            for bit, col, record in records:
+                                if not skipped & bit:
+                                    add = record.add
+                                    c = col[a]
+                                    while c != a:
+                                        add(c)
+                                        c = col[c]
                     if p[a] == a:
                         for col, inv in self.pairs:
                             if not col[a]:
@@ -610,8 +658,26 @@ def relabel(pres: FinitePresentation) -> Relabelling:
     becomes b^{gcd(e, m)}, which generates the same subgroup.
     Relabelling the form returned gives it back unchanged.
     """
-    unchanged = Relabelling(pres, 0, 1, 0)
-    rels = _reduce_powers(pres.relators)
+    relators, subgroup, power, beta, d = _shortest_form(
+        pres, _reduce_powers(pres.relators)
+    )
+    if not power:
+        return Relabelling(pres, 0, 1, 0)
+    form = FinitePresentation(pres.generators, relators, subgroup)
+    return Relabelling(form, power, beta, d)
+
+
+def _shortest_form(pres: FinitePresentation, rels: Tuple[WordInts, ...]):
+    """``relabel``'s form as (relators, subgroup, power, beta, d).
+
+    ``rels`` is ``_reduce_powers(pres.relators)``.  The relators returned
+    are shortened already: ``rels`` itself when the caller's form is
+    kept (power 0), and words with every g-run reduced into (-m/2, m/2]
+    beside the one power relator otherwise.  No presentation is built,
+    so letters taken from the caller's checked words are not checked
+    again.
+    """
+    unchanged = (rels, pres.subgroup, 0, 1, 0)
     powers = [i for i, w in enumerate(rels) if w.count(w[0]) == len(w)]
     if len(pres.generators) != 2 or len(powers) != 1:
         return unchanged
@@ -648,8 +714,7 @@ def relabel(pres: FinitePresentation) -> Relabelling:
     subgroup = tuple(
         (g,) * gcd(sum(1 if c > 0 else -1 for c in w), m) for w in pres.subgroup
     )
-    form = FinitePresentation(pres.generators, tuple(relators), subgroup)
-    return Relabelling(form, g, beta, d)
+    return tuple(relators), subgroup, g, beta, d
 
 
 def _units_near(q: int, bound: int, m: int) -> List[int]:
@@ -687,27 +752,31 @@ def _syllables(word: WordInts, x: int) -> List[Tuple[int, int, int]]:
     ]
 
 
-def _power(col: List[int], e: int) -> List[int]:
-    """The column of the e-th power of a column's generator, e >= 1.
+def _power(squares: List[Sequence[int]], e: int) -> Sequence[int]:
+    """The column of the e-th power of a generator, e >= 1, from its squares.
 
-    Whole columns are composed by repeated squaring; entry 0 is the
-    undefined sentinel and maps to itself, so gaps carry through.
+    ``squares`` holds the generator's column and then the columns of its
+    2^k-th powers; it is extended as far as e needs, so a caller that
+    keeps it squares each column at most once.  Whole columns are
+    composed; entry 0 is the undefined sentinel and maps to itself, so
+    gaps carry through.
     """
     out = None
-    while True:
-        if e & 1:
+    for k in range(e.bit_length()):
+        if k == len(squares):
+            col = squares[-1]
+            squares.append([col[v] for v in col])
+        if e >> k & 1:
+            col = squares[k]
             out = col if out is None else [col[v] for v in out]
-        e >>= 1
-        if not e:
-            return out
-        col = [col[v] for v in col]
+    return out
 
 
 def _caller_columns(cols: List[List[int]], power: int, beta: int, d: int):
     """The columns of g, G, x, X from those of b, B, y, Y (g = b^beta, x = y b^{-d})."""
     gi = 2 * (power - 1)
     xi = 2 - gi
-    b, B, y, Y = cols[gi], cols[gi + 1], cols[xi], cols[xi + 1]
+    b, B, y, Y = [cols[gi]], [cols[gi + 1]], cols[xi], cols[xi + 1]  # squares of b, B
     out = [[]] * 4
     out[gi], out[gi + 1] = _power(b, beta), _power(B, beta)
     if d:
@@ -729,13 +798,10 @@ def todd_coxeter(pres: FinitePresentation, max_cosets: int = 1_000_000) -> Coset
     ``max_cosets`` bounds, and ``defined`` counts, the cosets of that
     run; the table returned is in the caller's generators.
     """
-    form, power, beta, d = relabel(pres)
-    enum = _Enumerator(
-        len(pres.generators),
-        _scan_list(_reduce_powers(form.relators)),
-        form.subgroup,
-        max_cosets,
+    relators, subgroup, power, beta, d = _shortest_form(
+        pres, _reduce_powers(pres.relators)
     )
+    enum = _Enumerator(len(pres.generators), _scan_list(relators), subgroup, max_cosets)
     complete = enum.run()
     if power:
         enum.cols = _caller_columns(enum.cols, power, beta, d)
@@ -758,9 +824,14 @@ def audit_table(table: CosetTable, pres: FinitePresentation):
     Checks: every entry defined and in range, generator columns are
     mutually inverse bijections, every relator traces to its starting
     coset from every coset, and subgroup generators fix coset 0.  The
-    checks run a whole column at a time, and each relator is traced from
-    all cosets at once, one letter at a time; a failure names the first
-    offending entry (in row order) or coset.
+    checks run a whole column at a time.  The inverse check takes one
+    pass per generator, G[g[i]] == i: with every entry in range this
+    makes g injective on a finite set, so g is a bijection and G its
+    inverse.  Each relator is traced from all cosets at once, one pass
+    per maximal run g^e, over the column of g^e built from the squares
+    of g's column (each squared at most once per audit): a^12 costs five
+    passes (three squarings, one composition, the trace), not twelve.  A
+    failure names the first offending entry (in row order) or coset.
     """
     if not table.complete:
         raise ValueError("cannot audit an incomplete table")
@@ -771,20 +842,21 @@ def audit_table(table: CosetTable, pres: FinitePresentation):
         raise ValueError("row count does not match coset count")
     every = list(range(count))
     cols = list(zip(*rows)) or [()] * ncols
-    # entries in range with cols[c ^ 1][col[i]] == i for every i make each
-    # column a bijection, with column c ^ 1 its inverse
-    sound = all(len(row) == ncols for row in rows) and all(
-        0 <= min(col, default=0)
-        and max(col, default=0) < count
-        and [cols[c ^ 1][e] for e in col] == every
-        for c, col in enumerate(cols)
+    sound = set(map(len, rows)) <= {ncols} and all(
+        0 <= min(col, default=0) and max(col, default=0) < count for col in cols
+    )
+    # with every entry in range, G[g[i]] == i for every i makes g injective
+    # on a finite set, so g is a bijection and G its inverse: one pass a pair
+    sound = sound and all(
+        [cols[c + 1][e] for e in cols[c]] == every for c in range(0, ncols, 2)
     )
     if not sound:
         _raise_first_bad_entry(rows, count, ncols)
+    squares: Dict[int, List[Sequence[int]]] = {}  # column -> its squares
     for r in pres.relators:
         cur = every
-        for c in _Enumerator._columns(r):
-            col = cols[c]
+        for c, run in groupby(_Enumerator._columns(r)):
+            col = _power(squares.setdefault(c, [cols[c]]), sum(1 for _ in run))
             cur = [col[i] for i in cur]
         if cur != every:
             i = next(i for i in every if cur[i] != i)
@@ -816,23 +888,4 @@ def generator_permutation(table: CosetTable, gen: str) -> Tuple[int, ...]:
         raise ValueError("generator_permutation needs a complete table")
     i = table.generators.index(gen)
     return tuple(row[2 * i] for row in table.rows)
-
-
-def semidirect_presentation(n: int, k: int, l: int) -> FinitePresentation:
-    """The two-generator presentation (a, x : a^n, x a^k x a^{l-k} x a^{-l}).
-
-    This presents the extension of the cyclic group of order n by
-    G_n(k, l) in which conjugation by a realizes the shift.  Exponents
-    of a are normalized into [0, n).
-    """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    k %= n
-    l %= n
-    a, x = 1, 2
-    rel_a = (a,) * n
-    rel_w = (
-        (x,) + (a,) * k + (x,) + (a,) * ((l - k) % n) + (x,) + (a,) * ((-l) % n)
-    )
-    return FinitePresentation(("a", "x"), (rel_a, rel_w))
 

@@ -15,7 +15,6 @@ from cycpres.enumerate import (
     generator_permutation,
     parse_presentation,
     relabel,
-    semidirect_presentation,
     todd_coxeter,
 )
 from cycpres.relative import RelativeWord, lift, to_relative
@@ -293,21 +292,30 @@ def test_overflow_cap_one_is_legal():
 
 # -- presentation builders --------------------------------------------------------
 
+def semidirect(n, k, l):
+    """(a, x : a^n, x a^k x a^{l-k} x a^{-l}), the extension of C_n by G_n(k,l)."""
+    return lift(to_relative(gnkl(n, k, l).word, n), n)
+
+
 def test_semidirect_presentation_examples():
-    p = semidirect_presentation(5, 1, 2)
+    p = semidirect(5, 1, 2)
     assert p.generators == ("a", "x")
     assert p.relators[0] == (1,) * 5
     # x a x a x a^{-2}, exponents normalized into [0, 5)
     assert p.relators[1] == (2, 1, 2, 1, 2, 1, 1, 1)
 
-    p = semidirect_presentation(18, 1, 11)
+    p = semidirect(18, 1, 11)
     assert p.relators[1] == (2, 1, 2) + (1,) * 10 + (2,) + (1,) * 7
 
 
 def test_semidirect_matches_relative_lift():
     for n, k, l in ((5, 1, 2), (18, 1, 11), (7, 0, 3)):
         W = RelativeWord(((1, k), (1, l - k), (1, -l)))
-        assert semidirect_presentation(n, k, l) == lift(W, n)
+        # a^n, and W with every a-exponent spelled out in [0, n)
+        spelled = (2,) + (1,) * (k % n) + (2,) + (1,) * ((l - k) % n)
+        spelled += (2,) + (1,) * (-l % n)
+        assert lift(W, n) == FinitePresentation(("a", "x"), ((1,) * n, spelled))
+        assert semidirect(n, k, l) == lift(W, n)
 
 
 def test_relative_to_presentation_from_word():
@@ -561,3 +569,98 @@ def test_resume_after_lookahead_matches_restart():
         statuses.add(got.status)
     assert lookaheads >= len(RESUME_CASES)
     assert statuses == {"complete", "overflow"}
+
+
+# -- power relators scanned once per cycle --------------------------------------
+
+A5_RELATORS = ("a^2", "b^3", "a b a b a b a b a b")
+
+SKIP_CASES = [
+    ("K_over_1", replace(parse_presentation(K_TEXT), subgroup=())),
+    ("K_over_b", parse_presentation(K_TEXT)),
+    ("A5_powers_first", FinitePresentation.make(("a", "b"), A5_RELATORS)),
+    ("A5_powers_last", FinitePresentation.make(("a", "b"), A5_RELATORS[::-1])),
+    # (a, x : W, a^n): the power relator is scanned after W's rotations
+    (
+        "W_before_a12",
+        FinitePresentation(
+            ("a", "x"), extension(12, 8, 5).relators[::-1], ((1,),)
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "pres", [p for _, p in SKIP_CASES], ids=[i for i, _ in SKIP_CASES]
+)
+def test_skipping_closed_power_cycles_matches_restart(pres):
+    # the reference scans every relator at every coset; relabelling is
+    # idempotent, so both enumerate this form as given; the small caps run
+    # lookahead, after which HLT must start its records afresh
+    form = relabel(pres).presentation
+    lookaheads = 0
+    for cap in (1_000_000, 300, 200, 60):
+        got = todd_coxeter(form, max_cosets=cap)
+        ref = RestartEnumerator(form, cap)
+        assert (got.status, got.defined, got.rows) == ref.table(), cap
+        lookaheads += ref.lookaheads
+    assert lookaheads > 0
+
+
+def test_skipping_closed_power_cycles_matches_restart_on_small_triples():
+    count = 0
+    for n in range(2, 10):
+        for k in range(n):
+            for l in range(n):
+                if classify(n, k, l).finite:
+                    form = relabel(extension(n, k, l)).presentation
+                    got = todd_coxeter(form)
+                    ref = RestartEnumerator(form, 1_000_000).table()
+                    assert (got.status, got.defined, got.rows) == ref, (n, k, l)
+                    count += 1
+    assert count == 177
+
+
+@pytest.mark.parametrize("gen", [0, 1], ids=["a", "x"])
+def test_audit_of_squared_runs_names_the_first_coset_a_letter_trace_does(gen):
+    pres = extension(12, 8, 5)  # a^12 and W = x a^8 x a^9 x a^7, as lift writes it
+    table = todd_coxeter(pres)
+    # conjugate gen's pair of columns by the transposition (1 2): each
+    # column stays a bijection with its inverse, but W no longer closes
+    swap = list(range(table.count))
+    swap[1], swap[2] = 2, 1
+    rows = [list(r) for r in table.rows]
+    for c in (2 * gen, 2 * gen + 1):
+        for i in range(table.count):
+            rows[i][c] = swap[table.rows[swap[i]][c]]
+    bad = replace(table, rows=tuple(map(tuple, rows)))
+
+    def trace(i, word):
+        for g in word:
+            i = rows[i][2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1]
+        return i
+
+    first = [
+        (pres.word_text(r), i)
+        for r in pres.relators
+        for i in range(table.count)
+        if trace(i, r) != i
+    ][0]
+    assert first[0] != pres.word_text(pres.relators[0])  # a^12 still closes
+    message = rf"^relator {first[0]} does not close at coset {first[1]}$"
+    with pytest.raises(ValueError, match=message):
+        audit_table(bad, pres)
+
+
+def test_a_relabelled_form_is_already_shortened():
+    # todd_coxeter scans a form relabel moved without reducing it again
+    moved = 0
+    for n in range(2, 13):
+        for k in range(n):
+            for l in range(n):
+                if classify(n, k, l).finite:
+                    form, power, _, _ = relabel(extension(n, k, l))
+                    if power:
+                        assert _reduce_powers(form.relators) == form.relators
+                        moved += 1
+    assert moved > 0
