@@ -4,6 +4,7 @@ Run:  python demos/01_words_and_presentations.py
 """
 
 from cycpres import (
+    CyclicPresentation,
     cyclic_reduce,
     free_reduce,
     gnkl,
@@ -11,7 +12,6 @@ from cycpres import (
     is_cyclic_perm,
     orientability,
     parse_word,
-    presentation,
     shift,
 )
 
@@ -31,7 +31,7 @@ core, conj = cyclic_reduce(messy)
 print("cyclic core =", core, "  conjugator =", conj)
 
 # A cyclic presentation takes one defining word and relators all its shifts.
-p = presentation(3, parse_word("x0 x1 x2", 3))
+p = CyclicPresentation(3, parse_word("x0 x1 x2", 3))
 print("\npresentation", p)
 for i, r in enumerate(p.relators):
     print(f"  relator {i}: {r}")
@@ -43,7 +43,7 @@ print("\nG_6(2,4) relators:", [str(r) for r in gnkl(6, 2, 4).relators[:3]], "...
 # of one of its shifts?  The G_n(k,l) words never are; length-two words
 # with opposite signs can be, and then a half-word witness may exist.
 print("\nP_3(x0 x1 x2) orientable:", orientability(p).orientable)
-v = orientability(presentation(2, parse_word("x0 X1", 2)))
+v = orientability(CyclicPresentation(2, parse_word("x0 X1", 2)))
 print("P_2(x0 X1) orientable:", v.orientable, " witness:", v.witness)
 print("  (the witness u satisfies u * shift^m(u)^{-1} = w with n = 2m)")
 

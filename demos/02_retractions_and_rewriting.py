@@ -15,7 +15,6 @@ from cycpres import (
     change_variable,
     lift,
     parse_word,
-    presentation,
     relative_orientable,
     rho,
     root,
@@ -63,6 +62,6 @@ print("\nlift to (a, x : a^18, ...):")
 print(lift(W, 18))
 
 # The rewrite of an orientable relative word is always orientable.
-from cycpres import orientability
+from cycpres import CyclicPresentation, orientability
 w = rho(to_relative(parse_word("x0 x2 x3", 7), 7), 7, 0)
-print("\nrewrite orientable:", orientability(presentation(7, w)).orientable)
+print("\nrewrite orientable:", orientability(CyclicPresentation(7, w)).orientable)

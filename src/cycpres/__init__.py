@@ -25,7 +25,6 @@ from .cyclic import (
     gcd_decompose,
     gnkl,
     orientability,
-    presentation,
 )
 from .relative import (
     RelativeWord,
@@ -65,7 +64,7 @@ __all__ = [
     "Word", "concat", "cyclic_reduce", "free_reduce", "invert",
     "is_cyclic_perm", "parse_word", "rotate", "shift",
     "CyclicPresentation", "OrientabilityVerdict", "gcd_decompose", "gnkl",
-    "orientability", "presentation",
+    "orientability",
     "RelativeWord", "Retraction", "RootData", "change_variable", "lift",
     "relative_orientable", "rho", "root", "to_relative", "valid_retractions",
     "Classification", "Conditions", "classify", "conditions", "reduce_to_0p",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from . import dynamics, enumerate as enum, relative, taxonomy

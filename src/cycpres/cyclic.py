@@ -2,9 +2,10 @@
 
 P_n(w) has generators x_0, ..., x_{n-1} and relators w, shift(w), ...,
 shift^{n-1}(w).  A presentation is orientable when w is not a cyclic
-permutation of the inverse of any of its shifts; non-orientability can
-only happen for even n = 2m, in which case w may decompose (letter for
-letter) as u * shift^m(u)^{-1}, and that u is reported as a witness.
+permutation of the inverse of any of its shifts.  Only the shift that a
+rotation's first letter forces can match, so the test is O(|w|^2), not
+O(n).  Non-orientability needs an even n = 2m; then w may decompose (letter
+for letter) as u * shift^m(u)^{-1}, and that u is reported as a witness.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .words import Word, concat, free_reduce, invert, is_cyclic_perm, shift
+from .words import Word, concat, free_reduce, invert, shift
 
 
 class CyclicPresentation:
@@ -64,11 +65,6 @@ class OrientabilityVerdict:
     witness: Optional[Tuple[Word, int]] = None
 
 
-def presentation(n: int, w: Word) -> CyclicPresentation:
-    """Build P_n(w); rejects empty or non-cyclically-reduced words."""
-    return CyclicPresentation(n, w)
-
-
 def gnkl(n: int, k: int, l: int) -> CyclicPresentation:
     """The presentation P_n(x_0 x_k x_l) defining G_n(k, l)."""
     if n < 1:
@@ -79,10 +75,13 @@ def gnkl(n: int, k: int, l: int) -> CyclicPresentation:
 def orientability(pres: CyclicPresentation) -> OrientabilityVerdict:
     """Test whether w is a cyclic permutation of an inverted shift of w."""
     w, n = pres.word, pres.n
-    hit = any(
-        is_cyclic_perm(w, invert(shift(w, v))) is not None for v in range(n)
-    )
-    if not hit:
+    a = w.letters
+    b = [(i, -s) for i, s in reversed(a)]
+    i0, s0 = b[0]
+    if not any(
+        s == s0 and a[r:] + a[:r] == tuple(((j + i - i0) % n, t) for j, t in b)
+        for r, (i, s) in enumerate(a)
+    ):
         return OrientabilityVerdict(True)
     witness = None
     length = len(w)

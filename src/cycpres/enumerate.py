@@ -167,21 +167,15 @@ class FinitePresentation:
         for g in self.generators:
             if not (g[0].islower() and g.isidentifier()):
                 raise ValueError(f"generator name {g!r} must be a lowercase identifier")
-        ngens = len(self.generators)
-        for w in self.relators:
-            if not w:
-                raise ValueError("relators must be nonempty words")
-            self._check_word(w, ngens)
-        for w in self.subgroup:
-            if not w:
-                raise ValueError("subgroup generators must be nonempty words")
-            self._check_word(w, ngens)
-
-    @staticmethod
-    def _check_word(word: WordInts, ngens: int):
-        for g in word:
-            if g == 0 or abs(g) > ngens:
-                raise ValueError(f"letter {g} out of range in word {word}")
+        letters = {s * i for i in range(1, len(self.generators) + 1) for s in (1, -1)}
+        kinds = (("relators", self.relators), ("subgroup generators", self.subgroup))
+        for kind, words in kinds:
+            for w in words:
+                if not w:
+                    raise ValueError(f"{kind} must be nonempty words")
+                if not letters.issuperset(w):  # a set test runs at C speed
+                    g = next(g for g in w if g not in letters)
+                    raise ValueError(f"letter {g} out of range in word {w}")
 
     @classmethod
     def make(
@@ -342,7 +336,9 @@ class _Enumerator:
 
     def _reads(self, word: WordInts):
         """The columns a scan of a nonempty word reads, forwards and back."""
-        return tuple(zip(*[self.pairs[c] for c in self._columns(word)]))
+        m = len(word) if word.count(word[0]) == len(word) else 1  # g^m in one step
+        pairs = [self.pairs[c] for c in self._columns(word[: len(word) // m])]
+        return tuple(cols * m for cols in zip(*pairs))
 
     @property
     def defined(self) -> int:

@@ -8,10 +8,10 @@ stored x-first as syllables (e_i, p_i) meaning
 
 with e_i = +-1 and the a-exponents arbitrary integers compared modulo n.
 The group E presented by (a, x : a^n, W) retracts onto the cyclic
-subgroup generated by a exactly for the exponents f with e*f + p = 0
-(mod n), where e and p are the exponent sums of x and a in W.  For each
-such f the kernel is cyclically presented on the defining word rho(W, n, f),
-and conjugation by a realizes the shift on the kernel.
+subgroup generated by a exactly for the f with e*f + p = 0 (mod n), e and
+p being the exponent sums of x and a in W; valid_retractions solves this
+congruence.  For each such f the kernel is cyclically presented on the
+defining word rho(W, n, f), and conjugation by a realizes the shift on it.
 
 Text grammar: whitespace-separated tokens ``x``, ``X`` (= x^{-1}),
 ``a^<int>`` (also ``a`` and ``A`` for a^{+-1}), e.g. ``x a^2 X a^-1``.
@@ -20,6 +20,7 @@ Text grammar: whitespace-separated tokens ``x``, ``X`` (= x^{-1}),
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, List, Optional, Tuple
 
 from .enumerate import FinitePresentation
@@ -160,10 +161,15 @@ def valid_retractions(W: RelativeWord, n: int) -> Tuple[Retraction, ...]:
     >>> [r.f for r in valid_retractions(RelativeWord.from_text("x x a^9 x a^6"), 18)]
     [1, 7, 13]
     """
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
     eps, p = W.epsilon_sum, W.p_sum
-    return tuple(
-        Retraction(f, eps, p) for f in range(n) if (eps * f + p) % n == 0
-    )
+    g = gcd(eps, n)
+    if p % g:
+        return ()
+    step = n // g  # the f are f0 + t*step for t < g
+    f0 = -p // g * pow(eps // g, -1, step) % step
+    return tuple(Retraction(f, eps, p) for f in range(f0, n, step))
 
 
 def is_valid_retraction(W: RelativeWord, n: int, f: int) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from cycpres.cyclic import gnkl, orientability, presentation
+from cycpres.cyclic import CyclicPresentation, gnkl, orientability
 from cycpres.dynamics import EnumerationIncomplete, shift_orbits, verify_n18_evidence
 from cycpres.enumerate import (
     FinitePresentation,
@@ -81,9 +81,9 @@ def test_criterion_1_rewriting_fidelity():
         if rho(W, n, f) != Word(n, [(0, 1), (f, 1), (f + p, -1)]):
             failures.append(f"mixed-sign form at n={n}")
     # the same rewrite lands in different presentations for different n
-    if presentation(6, rho(W3, 6, 2)) != gnkl(6, 2, 4):
+    if CyclicPresentation(6, rho(W3, 6, 2)) != gnkl(6, 2, 4):
         failures.append("P_6(rho^2(x^3))")
-    if presentation(3, rho(W3, 3, 2)) != gnkl(3, 2, 1):
+    if CyclicPresentation(3, rho(W3, 3, 2)) != gnkl(3, 2, 1):
         failures.append("P_3(rho^2(x^3))")
     report(1, "rewriting fidelity", not failures)
     assert not failures, failures
@@ -107,7 +107,7 @@ def test_criterion_2_substitution_round_trip():
             if got != expect:
                 failures.append(f"round trip failed: {W} n={n} f={f}")
             if relative_orientable(W, n) and not orientability(
-                presentation(n, w)
+                CyclicPresentation(n, w)
             ).orientable:
                 failures.append(f"orientability not transferred: {W} n={n} f={f}")
     report(2, f"substitution round trip ({triples} triples)", not failures)
@@ -192,7 +192,7 @@ def test_criterion_8_orientability():
                     failures.append(f"P_{n}({k},{l}) marked non-orientable")
     for text, n, m in (("x0 X1", 2, 1), ("x0 X2", 4, 2)):
         w = parse_word(text, n)
-        v = orientability(presentation(n, w))
+        v = orientability(CyclicPresentation(n, w))
         if v.orientable or v.witness is None:
             failures.append(f"missing witness for {text}")
         else:
@@ -215,7 +215,7 @@ def test_criterion_8_orientability():
                     for r in range(length)
                 }
                 brute = w.letters not in targets
-                if orientability(presentation(n, w)).orientable != brute:
+                if orientability(CyclicPresentation(n, w)).orientable != brute:
                     failures.append(f"brute force disagrees on {w}")
     report(8, f"orientability ({checked} words brute-forced)", not failures)
     assert not failures, failures[:5]

@@ -172,3 +172,10 @@ def test_orbits_invalid_f_exit_2(capsys):
     code, _, err = run(capsys, "orbits", "--n", "5", "--word", "x0 x1 X2",
                        "--f", "1")
     assert code == 2 and "retraction" in err
+
+
+def test_orbits_invalid_f_at_huge_n_exit_2(capsys):
+    # the valid exponents are solved for, not searched among all n
+    code, _, err = run(capsys, "orbits", "--n", "10000000", "--k", "0", "--l", "1",
+                       "--f", "1")
+    assert code == 2 and "valid: [0]" in err

@@ -1,21 +1,30 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
 
 from cycpres.cyclic import (
     CyclicPresentation,
+    OrientabilityVerdict,
     gcd_decompose,
     gnkl,
     orientability,
-    presentation,
+)
+from cycpres.relative import (
+    RelativeWord,
+    relative_orientable,
+    to_relative,
+    valid_retractions,
 )
 from cycpres.words import (
     Word,
     concat,
+    cyclic_reduce,
     free_reduce,
     invert,
+    is_cyclic_perm,
     parse_word,
     rotate,
     shift,
@@ -25,7 +34,7 @@ from conftest import random_cyclically_reduced_word
 
 
 def test_presentation_relators_are_shifts():
-    p = presentation(3, parse_word("x0 x1 x2", 3))
+    p = CyclicPresentation(3, parse_word("x0 x1 x2", 3))
     assert p.relators == (
         parse_word("x0 x1 x2", 3),
         parse_word("x1 x2 x0", 3),
@@ -34,14 +43,14 @@ def test_presentation_relators_are_shifts():
 
 
 def test_presentation_cube_word():
-    p = presentation(4, parse_word("x0 x0 x0", 4))
+    p = CyclicPresentation(4, parse_word("x0 x0 x0", 4))
     assert len(p.relators) == 4
     for i, r in enumerate(p.relators):
         assert r == Word(4, [(i, 1)] * 3)
 
 
 def test_presentation_shifted_relator_count():
-    p = presentation(5, parse_word("x0 x1 X2", 5))
+    p = CyclicPresentation(5, parse_word("x0 x1 X2", 5))
     assert len(p.relators) == 5
     assert p.relators[3] == shift(p.word, 3)
 
@@ -62,31 +71,31 @@ def test_relators_are_derived_when_asked_for():
 
 def test_presentation_rejects_bad_words():
     with pytest.raises(ValueError):
-        presentation(3, Word(3))
+        CyclicPresentation(3, Word(3))
     with pytest.raises(ValueError):
-        presentation(3, parse_word("x0 x1 X1", 3))  # not reduced
+        CyclicPresentation(3, parse_word("x0 x1 X1", 3))  # not reduced
     with pytest.raises(ValueError):
-        presentation(3, parse_word("x1 x0 X1", 3))  # not cyclically reduced
+        CyclicPresentation(3, parse_word("x1 x0 X1", 3))  # not cyclically reduced
     with pytest.raises(ValueError):
-        presentation(4, parse_word("x0", 3))  # modulus mismatch
+        CyclicPresentation(4, parse_word("x0", 3))  # modulus mismatch
 
 
 def test_gnkl_examples():
-    assert gnkl(3, 1, 2) == presentation(3, parse_word("x0 x1 x2", 3))
-    assert gnkl(6, 0, 0) == presentation(6, parse_word("x0 x0 x0", 6))
-    assert gnkl(6, 2, 4) == presentation(6, parse_word("x0 x2 x4", 6))
+    assert gnkl(3, 1, 2) == CyclicPresentation(3, parse_word("x0 x1 x2", 3))
+    assert gnkl(6, 0, 0) == CyclicPresentation(6, parse_word("x0 x0 x0", 6))
+    assert gnkl(6, 2, 4) == CyclicPresentation(6, parse_word("x0 x2 x4", 6))
     assert gnkl(5, 6, -3) == gnkl(5, 1, 2)  # parameters reduced mod n
 
 
 # -- orientability ------------------------------------------------------------
 
 def test_nonorientable_examples_with_witness():
-    v = orientability(presentation(2, parse_word("x0 X1", 2)))
+    v = orientability(CyclicPresentation(2, parse_word("x0 X1", 2)))
     assert not v.orientable
     u, m = v.witness
     assert (u, m) == (parse_word("x0", 2), 1)
 
-    v = orientability(presentation(4, parse_word("x0 X2", 4)))
+    v = orientability(CyclicPresentation(4, parse_word("x0 X2", 4)))
     assert not v.orientable
     u, m = v.witness
     assert (u, m) == (parse_word("x0", 4), 2)
@@ -105,7 +114,7 @@ def test_witness_round_trip_whenever_present():
     for _ in range(400):
         n = rng.randint(1, 6)
         w = random_cyclically_reduced_word(rng, n, max_len=6)
-        v = orientability(presentation(n, w))
+        v = orientability(CyclicPresentation(n, w))
         if v.witness is not None:
             assert not v.orientable
             u, m = v.witness
@@ -120,7 +129,7 @@ def test_nonorientable_rotation_has_no_exact_witness():
     # a rotation of u * shift^1(u)^{-1} is still non-orientable, but no
     # word u' satisfies u' * shift^1(u')^{-1} = w on the nose
     w = parse_word("x1 X0 X1 x0", 2)
-    v = orientability(presentation(2, w))
+    v = orientability(CyclicPresentation(2, w))
     assert not v.orientable
     assert v.witness is None
 
@@ -130,8 +139,8 @@ def test_orientability_shift_invariant():
     for _ in range(200):
         n = rng.randint(1, 6)
         w = random_cyclically_reduced_word(rng, n, max_len=6)
-        base = orientability(presentation(n, w)).orientable
-        assert orientability(presentation(n, shift(w, 1))).orientable == base
+        base = orientability(CyclicPresentation(n, w)).orientable
+        assert orientability(CyclicPresentation(n, shift(w, 1))).orientable == base
 
 
 def test_orientability_brute_force_small_range():
@@ -148,7 +157,71 @@ def test_orientability_brute_force_small_range():
                     for r in range(length)
                 }
                 brute = w.letters not in targets
-                assert orientability(presentation(n, w)).orientable == brute
+                assert orientability(CyclicPresentation(n, w)).orientable == brute
+
+
+def reference_orientability(pres):
+    """The n-loop orientability test: every inverted shift, one at a time."""
+    w, n = pres.word, pres.n
+    hit = any(
+        is_cyclic_perm(w, invert(shift(w, v))) is not None for v in range(n)
+    )
+    if not hit:
+        return OrientabilityVerdict(True)
+    witness = None
+    length = len(w)
+    if n % 2 == 0 and length % 2 == 0:
+        m = n // 2
+        u = Word(n, w.letters[: length // 2])
+        if free_reduce(concat(u, invert(shift(u, m)))) == w:
+            witness = (u, m)
+    return OrientabilityVerdict(False, witness)
+
+
+def _half_word_shapes(rng, count):
+    """Non-orientable words u * shift^m(u)^{-1} with n = 2m, and their rotations."""
+    for _ in range(count):
+        m = rng.randint(1, 20)
+        u = Word(2 * m, [(rng.randrange(2 * m), rng.choice((1, -1))) for _ in range(4)])
+        core, _ = cyclic_reduce(concat(u, invert(shift(u, m))))
+        for r in range(len(core)):
+            yield 2 * m, rotate(core, r)
+
+
+def test_orientability_matches_the_n_loop_and_the_free_product():
+    rng = random.Random(41)
+    cases = [
+        (n, random_cyclically_reduced_word(rng, n, max_len=8))
+        for n in (rng.randint(1, 40) for _ in range(3000))
+    ] + list(_half_word_shapes(rng, 300))
+    nonorientable = witnessed = 0
+    for n, w in cases:
+        got = orientability(CyclicPresentation(n, w))
+        assert got == reference_orientability(CyclicPresentation(n, w)), (n, w)
+        assert got.orientable == relative_orientable(to_relative(w, n), n), (n, w)
+        nonorientable += not got.orientable
+        witnessed += got.witness is not None
+    assert nonorientable > 300 and witnessed > 100
+
+
+def test_verdicts_at_huge_n_take_no_memory_in_n():
+    n = 10**7
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        verdict = orientability(gnkl(n, 3, 7))
+        fs = [r.f for r in valid_retractions(to_relative(gnkl(n, 3, 7).word, n), n)]
+        halves = [r.f for r in valid_retractions(RelativeWord.from_text("x x a^4"), n)]
+        nothing = valid_retractions(RelativeWord.from_text("x X a^5"), n)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.orientable and fs == [0]
+    assert halves == [n // 2 - 2, n - 2]  # 2f + 4 = 0 (mod n)
+    assert nothing == ()  # 0f + 5 = 0 has no solution
+    assert elapsed < 0.5
+    assert peak < 2**20
 
 
 # -- gcd decomposition ---------------------------------------------------------

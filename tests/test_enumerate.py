@@ -9,6 +9,7 @@ from cycpres.enumerate import (
     MAX_WORD_LENGTH,
     CosetTable,
     FinitePresentation,
+    _Enumerator,
     _reduce_powers,
     _scan_list,
     audit_table,
@@ -588,6 +589,19 @@ SKIP_CASES = [
         ),
     ),
 ]
+
+
+@pytest.mark.parametrize(
+    "pres", [p for _, p in SKIP_CASES], ids=[i for i, _ in SKIP_CASES]
+)
+def test_power_relator_reads_match_the_letter_by_letter_reads(pres):
+    enum = _Enumerator(len(pres.generators), pres.relators, pres.subgroup, 100)
+    for words, reads in ((pres.relators, enum.rels), (pres.subgroup, enum.subs)):
+        for word, got in zip(words, reads):
+            letters = zip(*[enum.pairs[c] for c in enum._columns(word)])
+            ids = [[id(col) for col in r] for r in letters]
+            assert [[id(col) for col in r] for r in got] == ids
+    assert any(len(set(w)) == 1 < len(w) for w in pres.relators)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cycpres.cyclic import orientability, presentation
+from cycpres.cyclic import CyclicPresentation, orientability
 from cycpres.relative import (
     RelativeWord,
     change_variable,
@@ -74,6 +74,27 @@ def test_valid_retractions_x_cubed():
     assert {r.f for r in valid_retractions(R("x x x"), 3)} == {0, 1, 2}
 
 
+def test_valid_retractions_match_the_scan_over_every_f():
+    # eps = 0 gives all n exponents or none.  Each word is x^{+-1} a^p and
+    # then |eps| - 1 more x^{+-1} (one X when eps = 0), so its exponent sums
+    # are (eps, p)
+    for eps in range(-6, 7):
+        sign = 1 if eps >= 0 else -1
+        head = [(sign, 0)] * (abs(eps) - 1) if eps else [(-1, 0)]
+        words = {p: RelativeWord([(sign, p)] + head) for p in range(-200, 201)}
+        for n in range(1, 81):
+            scan = {}  # the f in [0, n) that the scan finds, by p mod n
+            for f in range(n):
+                scan.setdefault(-eps * f % n, []).append(f)
+            for p, W in words.items():
+                got = valid_retractions(W, n)
+                assert [r.f for r in got] == scan.get(p % n, []), (eps, p, n)
+                assert all((r.epsilon_sum, r.p_sum) == (eps, p) for r in got)
+    for n in (0, -6):
+        with pytest.raises(ValueError, match="positive"):
+            valid_retractions(R("x a^6"), n)
+
+
 # -- the rewriting process -------------------------------------------------------
 
 def test_rho_symbolic_three_syllables():
@@ -114,8 +135,8 @@ def test_rho_presentation_depends_on_n():
     from cycpres.cyclic import gnkl
 
     W = R("x x x")
-    assert presentation(6, rho(W, 6, 2)) == gnkl(6, 2, 4)
-    assert presentation(3, rho(W, 3, 2)) == gnkl(3, 2, 1)
+    assert CyclicPresentation(6, rho(W, 6, 2)) == gnkl(6, 2, 4)
+    assert CyclicPresentation(3, rho(W, 3, 2)) == gnkl(3, 2, 1)
 
 
 def test_rho_rejects_invalid_f():
@@ -292,5 +313,5 @@ def test_substitution_round_trip_and_transfer_properties():
             expect = fp_reduce(relative_word_tokens(W), n)
             assert got == expect
             if relative_orientable(W, n):
-                assert orientability(presentation(n, w)).orientable
+                assert orientability(CyclicPresentation(n, w)).orientable
             triples += 1
