@@ -43,9 +43,10 @@ print("\nw =", w, " ->  W =", W)
 print("rho^0 back:", rho(W, 5, 0), " (a shift of the original word)")
 
 # Roots and exponents in the free product.
-rd = root(RelativeWord.from_text("x a^2 x a^2"), 4, f=1)
-print("\nroot of x a^2 x a^2 (n=4):", rd.root, " exponent:", rd.exponent,
-      " sigma:", rd.sigma)
+# sigma is the a-exponent of the root's image under the retraction f = 1.
+rt, exponent = root(RelativeWord.from_text("x a^2 x a^2"), 4)
+print("\nroot of x a^2 x a^2 (n=4):", rt, " exponent:", exponent,
+      " sigma:", (rt.epsilon_sum * 1 + rt.p_sum) % 4)
 
 # Orientability on the relative side: conjugacy with the inverse.
 print("\ncommutator x a X a^-1 orientable (n=2):",

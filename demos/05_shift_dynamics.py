@@ -10,7 +10,6 @@ Run:  python demos/05_shift_dynamics.py
 
 from cycpres import (
     classify,
-    fixed_subgroup_evidence,
     gnkl,
     parse_word,
     shift_orbits,
@@ -26,9 +25,8 @@ print("  free action away from the basepoint:", rep.free_action_on_nonbase)
 # A finite case from the two-parameter family: order 33, and the shift
 # fixes an order-three subgroup (three fixed points, basepoint included).
 rep = shift_orbits(5, gnkl(5, 0, 1).word)
-ev = fixed_subgroup_evidence(rep)
-print("\nG_5(0,1):", rep.total_points, "points, theta fixes", ev.theta_fixed)
-print("  fixed counts by power:", ev.per_power)
+print("\nG_5(0,1):", rep.total_points, "points, theta fixes", rep.fixed_counts[1])
+print("  fixed counts by power:", rep.fixed_counts)
 
 # When condition B holds and 3 does not divide n, the shift is trivial:
 # every point is fixed.

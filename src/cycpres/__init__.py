@@ -29,7 +29,6 @@ from .cyclic import (
 from .relative import (
     RelativeWord,
     Retraction,
-    RootData,
     change_variable,
     lift,
     relative_orientable,
@@ -49,10 +48,8 @@ from .enumerate import (
 )
 from .dynamics import (
     EnumerationIncomplete,
-    FixedPointSummary,
     N18Evidence,
     OrbitReport,
-    fixed_subgroup_evidence,
     orbit_report,
     shift_orbits,
     verify_n18_evidence,
@@ -65,13 +62,12 @@ __all__ = [
     "is_cyclic_perm", "parse_word", "rotate", "shift",
     "CyclicPresentation", "OrientabilityVerdict", "gcd_decompose", "gnkl",
     "orientability",
-    "RelativeWord", "Retraction", "RootData", "change_variable", "lift",
+    "RelativeWord", "Retraction", "change_variable", "lift",
     "relative_orientable", "rho", "root", "to_relative", "valid_retractions",
     "Classification", "Conditions", "classify", "conditions", "reduce_to_0p",
     "sweep",
     "CosetTable", "FinitePresentation", "audit_table", "generator_permutation",
     "parse_presentation", "todd_coxeter",
-    "EnumerationIncomplete", "FixedPointSummary", "N18Evidence", "OrbitReport",
-    "fixed_subgroup_evidence", "orbit_report", "shift_orbits",
-    "verify_n18_evidence",
+    "EnumerationIncomplete", "N18Evidence", "OrbitReport", "orbit_report",
+    "shift_orbits", "verify_n18_evidence",
 ]

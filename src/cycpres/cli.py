@@ -169,6 +169,13 @@ def cmd_orbits(args) -> int:
         return EXIT_INVALID
     except dynamics.EnumerationIncomplete as exc:
         print(f"undecided: {exc}")
+        if args.word is None:
+            cls = taxonomy.classify(args.n, args.k, args.l)
+            if cls.finite:
+                what = f"G_{cls.n}({cls.k},{cls.l}) is finite"
+                if cls.order is not None:
+                    what += f" of order {taxonomy.order_formula(cls.n)}"
+                print(f"{what}; raise --max-cosets")
         return EXIT_UNDECIDED
     if args.json:
         print(json.dumps(_orbit_report_dict(report)))

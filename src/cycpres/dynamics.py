@@ -44,7 +44,9 @@ class OrbitReport:
     ``fixed_counts[j]`` is the number of cosets fixed by a^j for
     1 <= j < n (the basepoint is always among them), and
     ``free_action_on_nonbase`` says whether every orbit other than the
-    basepoint's has length exactly n.
+    basepoint's has length exactly n.  For the finite condition-C groups
+    ``fixed_counts[1]``, the count for the shift itself, is at least 3:
+    the basepoint plus an invariant subgroup of order three.
     """
 
     n: int
@@ -52,13 +54,6 @@ class OrbitReport:
     cycle_type: Tuple[int, ...]
     fixed_counts: Dict[int, int]
     free_action_on_nonbase: bool
-
-
-@dataclass(frozen=True)
-class FixedPointSummary:
-    total_points: int
-    theta_fixed: int
-    per_power: Dict[int, int]
 
 
 def _cycle_lengths(perm: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -135,23 +130,10 @@ def shift_orbits(
         raise EnumerationIncomplete(
             f"coset enumeration did not complete within {max_cosets} cosets"
             f" ({table.count} live, {table.defined} defined); the group may"
-            " be infinite",
+            " be infinite or the limit too small",
             table,
         )
     return orbit_report(table, "a", n)
-
-
-def fixed_subgroup_evidence(report: OrbitReport) -> FixedPointSummary:
-    """Per-power fixed-point counts of the shift.
-
-    For the finite condition-C groups the count for the shift itself is
-    at least 3: the basepoint plus an invariant subgroup of order three.
-    """
-    return FixedPointSummary(
-        total_points=report.total_points,
-        theta_fixed=report.fixed_counts[1],
-        per_power=dict(report.fixed_counts),
-    )
 
 
 @dataclass(frozen=True)

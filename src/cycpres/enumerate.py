@@ -103,7 +103,7 @@ import re
 from dataclasses import dataclass
 from itertools import groupby
 from math import gcd
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 WordInts = Tuple[int, ...]  # letters as nonzero signed 1-based generator numbers
 
@@ -579,11 +579,12 @@ def _reduce_powers(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
             continue
         rel: List[int] = []
         for g, run in groupby(w, key=abs):
+            run = tuple(run)
             m = period.get(g)
             if m is None:
                 rel.extend(run)
                 continue
-            e = _reduced(sum(1 if c > 0 else -1 for c in run), m)
+            e = _reduced(len(run) - 2 * run.count(-g), m)
             rel.extend([g] * e if e > 0 else [-g] * -e)
         if rel:
             out.append(tuple(rel))
@@ -616,24 +617,17 @@ def _scan_list(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
     return tuple(out)
 
 
-class Relabelling(NamedTuple):
-    """The form in which ``todd_coxeter`` enumerates a presentation.
-
-    ``presentation`` is written in new generators b and y, which keep the
-    names and places of the caller's g (generator number ``power``,
-    1-based) and x, with g = b^beta and x = y b^{-d}.  When the caller's
-    presentation is enumerated as given, it is ``presentation``, ``power``
-    is 0, ``beta`` is 1 and ``d`` is 0.
-    """
-
-    presentation: FinitePresentation
-    power: int
-    beta: int
-    d: int
-
-
-def relabel(pres: FinitePresentation) -> Relabelling:
+def relabel(pres: FinitePresentation):
     """The shortest form of ``pres`` under g = b^beta, x = y b^{-d}.
+
+    Returns (relators, subgroup, power, beta, d), the form ``todd_coxeter``
+    enumerates.  Its generators b and y keep the names and places of the
+    caller's g (generator number ``power``, 1-based) and x.  The relators
+    are shortened already: ``_reduce_powers(pres.relators)`` when the
+    caller's form is kept (power 0, beta 1, d 0, and the caller's
+    subgroup), and words with every g-run reduced into (-m/2, m/2] beside
+    the one power relator otherwise.  No presentation is built, so letters
+    taken from the caller's checked words are not checked again.
 
     Applies to a presentation on two generators g and x in which, once
     relators are shortened by ``_reduce_powers``, exactly one relator is a
@@ -652,27 +646,9 @@ def relabel(pres: FinitePresentation) -> Relabelling:
     does not zero within the best length so far (``_units_near``), so the
     search costs about that length, not m.  A subgroup generator g^e
     becomes b^{gcd(e, m)}, which generates the same subgroup.
-    Relabelling the form returned gives it back unchanged.
+    Applying ``relabel`` to the form returned gives it back unchanged.
     """
-    relators, subgroup, power, beta, d = _shortest_form(
-        pres, _reduce_powers(pres.relators)
-    )
-    if not power:
-        return Relabelling(pres, 0, 1, 0)
-    form = FinitePresentation(pres.generators, relators, subgroup)
-    return Relabelling(form, power, beta, d)
-
-
-def _shortest_form(pres: FinitePresentation, rels: Tuple[WordInts, ...]):
-    """``relabel``'s form as (relators, subgroup, power, beta, d).
-
-    ``rels`` is ``_reduce_powers(pres.relators)``.  The relators returned
-    are shortened already: ``rels`` itself when the caller's form is
-    kept (power 0), and words with every g-run reduced into (-m/2, m/2]
-    beside the one power relator otherwise.  No presentation is built,
-    so letters taken from the caller's checked words are not checked
-    again.
-    """
+    rels = _reduce_powers(pres.relators)
     unchanged = (rels, pres.subgroup, 0, 1, 0)
     powers = [i for i, w in enumerate(rels) if w.count(w[0]) == len(w)]
     if len(pres.generators) != 2 or len(powers) != 1:
@@ -707,9 +683,7 @@ def _shortest_form(pres: FinitePresentation, rels: Tuple[WordInts, ...]):
             r = _reduced(beta * p + c * d, m)
             word += [s * x] + ([g] * r if r > 0 else [-g] * -r)
         relators[i] = tuple(word)
-    subgroup = tuple(
-        (g,) * gcd(sum(1 if c > 0 else -1 for c in w), m) for w in pres.subgroup
-    )
+    subgroup = tuple((g,) * gcd(len(w) - 2 * w.count(-g), m) for w in pres.subgroup)
     return tuple(relators), subgroup, g, beta, d
 
 
@@ -794,9 +768,7 @@ def todd_coxeter(pres: FinitePresentation, max_cosets: int = 1_000_000) -> Coset
     ``max_cosets`` bounds, and ``defined`` counts, the cosets of that
     run; the table returned is in the caller's generators.
     """
-    relators, subgroup, power, beta, d = _shortest_form(
-        pres, _reduce_powers(pres.relators)
-    )
+    relators, subgroup, power, beta, d = relabel(pres)
     enum = _Enumerator(len(pres.generators), _scan_list(relators), subgroup, max_cosets)
     complete = enum.run()
     if power:

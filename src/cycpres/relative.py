@@ -19,9 +19,10 @@ Text grammar: whitespace-separated tokens ``x``, ``X`` (= x^{-1}),
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .enumerate import FinitePresentation
 from .words import Word
@@ -142,19 +143,6 @@ class Retraction:
     p_sum: int
 
 
-@dataclass(frozen=True)
-class RootData:
-    """Maximal decomposition W = root^exponent, syllable-wise modulo n.
-
-    ``sigma`` is the a-exponent of the retraction image of the root,
-    sum of (e_j * f + p_j) over the root, taken mod n when f is given.
-    """
-
-    root: RelativeWord
-    exponent: int
-    sigma: Optional[int] = None
-
-
 def valid_retractions(W: RelativeWord, n: int) -> Tuple[Retraction, ...]:
     """All f in [0, n) with epsilon_sum * f + p_sum = 0 (mod n).
 
@@ -173,6 +161,8 @@ def valid_retractions(W: RelativeWord, n: int) -> Tuple[Retraction, ...]:
 
 
 def is_valid_retraction(W: RelativeWord, n: int, f: int) -> bool:
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
     return (W.epsilon_sum * f + W.p_sum) % n == 0
 
 
@@ -222,8 +212,12 @@ def to_relative(w: Word, n: int) -> RelativeWord:
     )
 
 
-def root(W: RelativeWord, n: int, f: Optional[int] = None) -> RootData:
-    """Maximal e and root with W = root^e, comparing syllables mod n."""
+def root(W: RelativeWord, n: int) -> Tuple[RelativeWord, int]:
+    """Maximal e and root with W = root^e, comparing syllables mod n.
+
+    Returned as (root, e).  The a-exponent of the retraction image of the
+    root under f is ``(root.epsilon_sum * f + root.p_sum) % n``.
+    """
     syl = [(e, p % n) for e, p in W.syllables]
     L = len(syl)
     period = L
@@ -231,66 +225,24 @@ def root(W: RelativeWord, n: int, f: Optional[int] = None) -> RootData:
         if L % cand == 0 and all(syl[i] == syl[i % cand] for i in range(L)):
             period = cand
             break
-    rt = RelativeWord(W.syllables[:period])
-    sigma = None
-    if f is not None:
-        sigma = sum(e * f + p for e, p in rt.syllables) % n
-    return RootData(rt, L // period, sigma)
-
-
-# -- free-product normal forms (for conjugacy testing) -------------------
-
-
-def _normal_form(syllables: Iterable[Syllable], n: int) -> Tuple[Tuple[str, int], ...]:
-    out: List[Tuple[str, int]] = []
-
-    def push(kind: str, val: int):
-        if kind == "a":
-            val %= n
-        if not val:
-            return
-        if out and out[-1][0] == kind:
-            prev = out.pop()[1]
-            val = prev + val
-            if kind == "a":
-                val %= n
-            if not val:
-                return
-        out.append((kind, val))
-
-    for e, p in syllables:
-        push("x", e)
-        push("a", p)
-    return tuple(out)
-
-
-def _cyclically_reduce_nf(nf, n: int):
-    nf = list(nf)
-    while len(nf) >= 2 and nf[0][0] == nf[-1][0]:
-        kind = nf[0][0]
-        val = nf[0][1] + nf[-1][1]
-        if kind == "a":
-            val %= n
-        nf = nf[1:-1] + ([(kind, val)] if val else [])
-    return tuple(nf)
+    return RelativeWord(W.syllables[:period]), L // period
 
 
 def relative_orientable(W: RelativeWord, n: int) -> bool:
     """True when W is not conjugate to its inverse in the free product.
 
     Conjugacy of cyclically reduced free-product elements is cyclic
-    permutation of their syllable normal forms.
+    permutation of their syllables, a-exponents taken mod n.  A word that
+    reduces to a coefficient a^p is conjugate to a^-p exactly when
+    2p = 0 (mod n).
     """
-    nf = _cyclically_reduce_nf(_normal_form(W.syllables, n), n)
-    inv = tuple(
-        (kind, (-val) % n if kind == "a" else -val)
-        for kind, val in reversed(nf)
-    )
-    if len(nf) != len(inv):
-        return True
-    if len(nf) <= 1:
-        return nf != inv
-    return all(inv != nf[r:] + nf[:r] for r in range(len(nf)))
+    try:
+        R = _cyclic_reduce_syllables(W.syllables, n)
+    except ValueError:  # only a coefficient is left
+        return (2 * W.p_sum) % n != 0
+    syl = R.reduced(n).syllables
+    inv = R.inverse().reduced(n).syllables
+    return all(inv != syl[r:] + syl[:r] for r in range(len(syl)))
 
 
 def change_variable(W: RelativeWord, n: int, t: int) -> RelativeWord:
@@ -309,29 +261,36 @@ def change_variable(W: RelativeWord, n: int, t: int) -> RelativeWord:
     return _cyclic_reduce_syllables(new, n)
 
 
-def _cyclic_reduce_syllables(syl: List[Syllable], n: int) -> RelativeWord:
-    syl = list(syl)
-    while True:
-        L = len(syl)
-        found = None
-        if L >= 2:
-            for i in range(L):
-                if syl[(i + 1) % L][0] == -syl[i][0] and syl[i][1] % n == 0:
-                    found = i
-                    break
-        if found is None:
-            return RelativeWord(syl)
-        # x^e a^{0 mod n} x^{-e} cancels; its trailing a-power folds back
-        # onto the preceding syllable
-        i = found
-        j = (i + 1) % L
-        prev = (i - 1) % L
-        if prev == j:
-            raise ValueError("word reduces to a coefficient; no x letter left")
-        carry = syl[i][1] + syl[j][1]
-        e_prev, p_prev = syl[prev]
-        syl[prev] = (e_prev, p_prev + carry)
-        syl = [syl[k] for k in range(L) if k != i and k != j]
+def _cyclic_reduce_syllables(syl: Sequence[Syllable], n: int) -> RelativeWord:
+    """Cancel every x^e a^{0 mod n} x^{-e}, cyclically, in linear time.
+
+    A cancelled pair's a-exponents fold onto the syllable before it, so
+    the syllables left keep their order and W's exponent sums.  A stack
+    cancels left to right; then the two ends of the cyclic word cancel.
+    Raises ValueError when only a coefficient a^p is left.
+    """
+    coefficient = "word reduces to a coefficient; no x letter left"
+    stack: List[List[int]] = []  # [e, p] left so far; neighbours never cancel
+    lead = 0  # a-exponents cancelled before the first syllable left
+    for e, p in syl:
+        if stack and stack[-1][0] == -e and stack[-1][1] % n == 0:
+            carry = stack.pop()[1] + p
+            if stack:
+                stack[-1][1] += carry
+            else:
+                lead += carry
+        else:
+            stack.append([e, p])
+    if not stack:
+        raise ValueError(coefficient)
+    out = deque(stack)
+    out[-1][1] += lead  # the word is cyclic: the front folds onto the end
+    while out[0][0] == -out[-1][0] and out[-1][1] % n == 0:
+        if len(out) == 2:
+            raise ValueError(coefficient)
+        carry = out.pop()[1] + out.popleft()[1]
+        out[-1][1] += carry
+    return RelativeWord(out)
 
 
 def lift(W: RelativeWord, n: int) -> FinitePresentation:

@@ -13,11 +13,12 @@ together with the reduction d = gcd(n,k,l) > 1, under which P_n(k,l) is
 a disjoint union of d copies of P_{n/d}(k/d, l/d) and G_n(k,l) is the
 free product of d copies of the reduced group.
 
-Two global facts tie the verdict fields together and are asserted on
-every classification: the shift acts freely on the nonidentity elements
-exactly when the presentation is combinatorially aspherical
-(free_shift == ca), and the group is finite exactly when the shift has
-a nonidentity fixed point (theta_fixed == finite).
+Two global facts tie the shift dynamics to the verdicts, so the shift
+facts are derived from them rather than stored and checked: the shift
+acts freely on the nonidentity elements exactly when the presentation is
+combinatorially aspherical (``free_shift`` is ``ca``), and the group is
+finite exactly when the shift has a nonidentity fixed point
+(``theta_fixed`` is ``finite``).
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ def conditions(n: int, k: int, l: int) -> Conditions:
 class Classification:
     """Verdict record for one parameter triple.
 
-    ``order`` is populated only when the closed formula 2^n - (-1)^n
-    applies (condition C finite cases); finite groups in the condition B
-    branch get their order from coset enumeration, not from a formula.
+    ``order`` is populated only when a closed formula applies: 3 for
+    n = 1 and 2^n - (-1)^n in the condition C finite cases; finite groups
+    in the condition B branch get their order from coset enumeration.
     """
 
     n: int
@@ -62,11 +63,57 @@ class Classification:
     finite: bool
     order: Optional[int]
     ca: bool
-    free_shift: bool
-    theta_fixed: bool
     exceptional_n18: bool
     branch: str
     structure_note: str
+
+    @property
+    def free_shift(self) -> bool:
+        """The shift acts freely on nonidentity elements: exactly when CA."""
+        return self.ca
+
+    @property
+    def theta_fixed(self) -> bool:
+        """The shift fixes a nonidentity element: exactly when finite."""
+        return self.finite
+
+
+# branch -> (finite, ca, structure note), for every branch but "gcd", whose
+# ca and note come from the reduced triple.  For n = 1 the group is cyclic
+# of order three and the shift is trivial, so it fixes nonidentity
+# elements and (vacuously) acts freely.
+_VERDICTS = {
+    "n=1": (True, True, "cyclic of order 3"),
+    "B, n=3": (False, True, "free of rank two"),
+    "B, 3|n": (
+        False, False,
+        "free of rank two; shift has order 3 and is fixed-point free",
+    ),
+    "B, 3 does not divide n": (
+        True, False,
+        "finite cyclic; the shift is trivial"
+        " (order via coset enumeration, no closed formula)",
+    ),
+    "C, A fails": (
+        True, False,
+        "{shape} of order {order}; the shift fixes a subgroup of order three",
+    ),
+    "C, A holds": (
+        False, False,
+        "infinite; a retraction kernel is a G_n(0,p) with gcd(p,n) = 3",
+    ),
+    "exceptional n=18": (
+        False, False,
+        "free product of a free group of rank two and a cyclic group"
+        " of order 19; the shift is fixed-point free but its cube"
+        " fixes a nonidentity element",
+    ),
+    "neither B nor C": (
+        False, True,
+        "infinite and torsion-free; aspherical cellular model,"
+        " shift acts freely",
+    ),
+}
 
 
 def order_formula(n: int) -> str:
@@ -89,102 +136,41 @@ def classify(n: int, k: int, l: int) -> Classification:
     d = math.gcd(n, k, l)
 
     if n == 1:
-        # single generator with relator x_0^3: the cyclic group of order
-        # three; the shift is trivial, so it fixes nonidentity elements
-        # and (vacuously) acts freely
-        cls = Classification(
-            n, k, l, 1, cond,
-            finite=True, order=3, ca=True, free_shift=True, theta_fixed=True,
-            exceptional_n18=False, branch="n=1",
-            structure_note="cyclic of order 3",
-        )
+        branch = "n=1"
     elif d > 1:
+        branch = "gcd"
+    elif cond.B and n % 3:
+        branch = "B, 3 does not divide n"
+    elif cond.B:
+        branch = "B, n=3" if n == 3 else "B, 3|n"
+    elif cond.C:
+        branch = "C, A holds" if cond.A else "C, A fails"
+    elif n == 18 and (k + l) % 3 == 0:
+        branch = "exceptional n=18"
+    else:
+        branch = "neither B nor C"
+
+    order = None
+    if branch == "gcd":
         sub = classify(n // d, k // d, l // d)
+        finite, ca = False, sub.ca
         note = (
             f"free product of {d} copies of G_{n // d}({k // d},{l // d})"
             f" [{sub.structure_note}]; shift powers fix nonidentity elements"
             f" only at exponents divisible by {d}"
         )
-        cls = Classification(
-            n, k, l, d, cond,
-            finite=False, order=None, ca=sub.ca, free_shift=sub.free_shift,
-            theta_fixed=False, exceptional_n18=False, branch="gcd",
-            structure_note=note,
-        )
-    elif cond.B:
-        if n == 3:
-            cls = Classification(
-                n, k, l, 1, cond,
-                finite=False, order=None, ca=True, free_shift=True,
-                theta_fixed=False, exceptional_n18=False, branch="B, n=3",
-                structure_note="free of rank two",
-            )
-        elif n % 3 == 0:
-            cls = Classification(
-                n, k, l, 1, cond,
-                finite=False, order=None, ca=False, free_shift=False,
-                theta_fixed=False, exceptional_n18=False, branch="B, 3|n",
-                structure_note=(
-                    "free of rank two; shift has order 3 and is fixed-point free"
-                ),
-            )
-        else:
-            cls = Classification(
-                n, k, l, 1, cond,
-                finite=True, order=None, ca=False, free_shift=False,
-                theta_fixed=True, exceptional_n18=False, branch="B, 3 does not divide n",
-                structure_note=(
-                    "finite cyclic; the shift is trivial"
-                    " (order via coset enumeration, no closed formula)"
-                ),
-            )
-    elif cond.C:
-        if not cond.A:
-            shape = "cyclic" if n % 3 != 0 else "metacyclic"
-            cls = Classification(
-                n, k, l, 1, cond,
-                finite=True, order=2 ** n - (-1) ** n, ca=False, free_shift=False,
-                theta_fixed=True, exceptional_n18=False, branch="C, A fails",
-                structure_note=(
-                    f"{shape} of order {order_formula(n)};"
-                    " the shift fixes a subgroup of order three"
-                ),
-            )
-        else:
-            cls = Classification(
-                n, k, l, 1, cond,
-                finite=False, order=None, ca=False, free_shift=False,
-                theta_fixed=False, exceptional_n18=False, branch="C, A holds",
-                structure_note=(
-                    "infinite; a retraction kernel is a G_n(0,p) with gcd(p,n) = 3"
-                ),
-            )
     else:
-        if n == 18 and (k + l) % 3 == 0:
-            cls = Classification(
-                n, k, l, 1, cond,
-                finite=False, order=None, ca=False, free_shift=False,
-                theta_fixed=False, exceptional_n18=True, branch="exceptional n=18",
-                structure_note=(
-                    "free product of a free group of rank two and a cyclic group"
-                    " of order 19; the shift is fixed-point free but its cube"
-                    " fixes a nonidentity element"
-                ),
-            )
-        else:
-            cls = Classification(
-                n, k, l, 1, cond,
-                finite=False, order=None, ca=True, free_shift=True,
-                theta_fixed=False, exceptional_n18=False, branch="neither B nor C",
-                structure_note=(
-                    "infinite and torsion-free; aspherical cellular model,"
-                    " shift acts freely"
-                ),
-            )
-
-    assert cls.free_shift == cls.ca, cls
-    assert cls.theta_fixed == cls.finite, cls
-    return cls
+        finite, ca, note = _VERDICTS[branch]
+    if branch == "n=1":
+        order = 3
+    elif branch == "C, A fails":
+        order = 2 ** n - (-1) ** n
+        shape = "cyclic" if n % 3 != 0 else "metacyclic"
+        note = note.format(shape=shape, order=order_formula(n))
+    return Classification(
+        n, k, l, d, cond, finite, order, ca, branch == "exceptional n=18",
+        branch, note,
+    )
 
 
 def sweep(nmax: int):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -43,6 +44,11 @@ def test_rewrite_invalid_exponent_exit_2(capsys):
                        "--word", "x x a^9 x a^6")
     assert code == 2
     assert "3*2 + 15" in err and "(mod 18)" in err
+
+
+def test_rewrite_n_zero_exit_2(capsys):
+    code, _, err = run(capsys, "rewrite", "--n", "0", "--f", "0", "--word", "x")
+    assert code == 2 and "positive integer" in err
 
 
 def test_rewrite_bad_token_exit_2(capsys):
@@ -91,6 +97,21 @@ def test_sweep_human_output(capsys):
     code, out, _ = run(capsys, "sweep", "--nmax", "3")
     assert code == 0
     assert "G_3(1,2):" in out
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--json",), "3400b9fb5935621ecb80ab6dbd65ad71d84c173ab5ec9635832caa59096fea6f"),
+        ((), "6eee17f0d379ee0d926a868711faae4a8a0206bb82f7f42fcf2376d06226f5c5"),
+    ],
+    ids=["json", "text"],
+)
+def test_sweep_to_30_digest(capsys, argv, digest):
+    # pins every verdict, order, note and flag of the 9,455 triples with n <= 30
+    code, out, _ = run(capsys, "sweep", "--nmax", "30", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_file(tmp_path, capsys):
@@ -158,9 +179,22 @@ def test_orbits_triple_json_round_trip(capsys):
 
 
 def test_orbits_overflow_exit_3(capsys):
+    # G_6(1,5) is infinite (condition B, 3 | n), so no order is promised
     code, out, _ = run(capsys, "orbits", "--n", "6", "--k", "1", "--l", "5",
                        "--max-cosets", "200")
     assert code == 3 and "undecided" in out
+    assert "may be infinite or the limit too small" in out
+    assert "is finite" not in out and "raise --max-cosets" not in out
+
+
+def test_orbits_overflow_on_a_finite_group_says_so(capsys):
+    code, out, _ = run(capsys, "orbits", "--n", "20", "--k", "0", "--l", "1",
+                       "--max-cosets", "1000")
+    assert code == 3 and "undecided" in out
+    assert "G_20(0,1) is finite of order 2^20 - (-1)^20; raise --max-cosets" in out
+    code, out, _ = run(capsys, "orbits", "--n", "10", "--k", "1", "--l", "2",
+                       "--max-cosets", "2")  # finite, with no closed order
+    assert code == 3 and "G_10(1,2) is finite; raise --max-cosets" in out
 
 
 def test_orbits_needs_word_or_triple(capsys):

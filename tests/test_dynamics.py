@@ -6,7 +6,6 @@ import cycpres.dynamics as dynamics_module
 from cycpres.cyclic import gnkl
 from cycpres.dynamics import (
     EnumerationIncomplete,
-    fixed_subgroup_evidence,
     orbit_report,
     shift_orbits,
     verify_n18_evidence,
@@ -93,18 +92,15 @@ def test_fixed_points_monotone_under_power_multiples():
                 t += 1
 
 
-def test_fixed_subgroup_evidence_finite_case():
+def test_shift_fixed_points_finite_case():
     rep = shift_orbits(5, gnkl(5, 0, 1).word)
-    ev = fixed_subgroup_evidence(rep)
-    assert ev.total_points == 33
-    assert ev.theta_fixed >= 3
-    assert ev.per_power == rep.fixed_counts
+    assert rep.total_points == 33
+    assert rep.fixed_counts[1] >= 3  # the basepoint and a subgroup of order 3
 
 
-def test_fixed_subgroup_evidence_free_case():
+def test_shift_fixed_points_free_case():
     rep = shift_orbits(5, parse_word("x0 x1 X2", 5))
-    ev = fixed_subgroup_evidence(rep)
-    assert all(count == 1 for count in ev.per_power.values())
+    assert all(count == 1 for count in rep.fixed_counts.values())
 
 
 def test_verify_n18_evidence():

@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
 from cycpres.cyclic import CyclicPresentation, orientability
 from cycpres.relative import (
     RelativeWord,
+    _cyclic_reduce_syllables,
     change_variable,
     lift,
     relative_orientable,
@@ -185,21 +188,18 @@ def test_to_relative_rho_inverse_sampled():
 # -- roots ---------------------------------------------------------------------------
 
 def test_root_x_cubed():
-    rd = root(R("x x x"), 5)
-    assert rd.root == R("x") and rd.exponent == 3 and rd.sigma is None
+    assert root(R("x x x"), 5) == (R("x"), 3)
 
 
 def test_root_mixed_signs_trivial():
-    rd = root(R("x a x a X a^-2"), 5)
-    assert rd.exponent == 1
-    assert rd.root == R("x a x a X a^-2")
+    assert root(R("x a x a X a^-2"), 5) == (R("x a x a X a^-2"), 1)
 
 
 def test_root_with_sigma():
-    rd = root(R("x a^2 x a^2"), 4, f=1)
-    assert rd.root == R("x a^2")
-    assert rd.exponent == 2
-    assert rd.sigma == 3
+    rt, exponent = root(R("x a^2 x a^2"), 4)
+    assert rt == R("x a^2")
+    assert exponent == 2
+    assert (rt.epsilon_sum * 1 + rt.p_sum) % 4 == 3  # sigma at f = 1
 
 
 def test_root_consistency_random():
@@ -209,16 +209,17 @@ def test_root_consistency_random():
         W = random_cyclically_reduced_relative_word(rng, n)
         fs = [r.f for r in valid_retractions(W, n)]
         f = rng.choice(fs) if fs else None
-        rd = root(W, n, f)
+        rt, exponent = root(W, n)
         L = len(W.syllables)
-        assert L % rd.exponent == 0
-        rebuilt = rd.root.syllables * rd.exponent
+        assert L % exponent == 0
+        rebuilt = rt.syllables * exponent
         assert [(e, p % n) for e, p in rebuilt] == [
             (e, p % n) for e, p in W.syllables
         ]
         if f is not None:
             # sigma * exponent is the image of all of W, which f kills
-            assert (rd.sigma * rd.exponent) % n == 0
+            sigma = (rt.epsilon_sum * f + rt.p_sum) % n
+            assert (sigma * exponent) % n == 0
 
 
 # -- relative orientability -----------------------------------------------------------
@@ -227,6 +228,85 @@ def test_relative_orientable_examples():
     assert not relative_orientable(R("x a X A"), 2)  # commutator
     assert relative_orientable(R("x a^2 x a^3 x a^-5"), 7)
     assert relative_orientable(R("x x x"), 3)
+
+
+def test_relative_orientable_coefficient_words():
+    # a word that cancels down to a^p is conjugate to a^-p iff 2p = 0 mod n
+    assert not relative_orientable(R("x X"), 5)
+    assert not relative_orientable(R("x a^2 X"), 4)
+    assert relative_orientable(R("x a^2 X"), 5)
+
+
+def test_relative_orientable_digest_of_every_short_word():
+    # every word with n <= 5 and at most 4 syllables, exponents in [0, n);
+    # the digest pins the verdicts of the normal-form reducer it replaced
+    bits = []
+    for n in range(1, 6):
+        for L in range(1, 5):
+            for signs in itertools.product((1, -1), repeat=L):
+                for exps in itertools.product(range(n), repeat=L):
+                    W = RelativeWord(zip(signs, exps))
+                    bits.append("1" if relative_orientable(W, n) else "0")
+    text = "".join(bits)
+    assert (len(text), text.count("0")) == (17714, 376)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "56e1c0eba8b6afcd7e4e88835f0fb469cf126c4511bb5092c2b66ca3f8263c2a"
+    )
+
+
+def pairwise_cyclic_reduce(syl, n):
+    """Reference: cancel the first cancelling pair, rescanning after each."""
+    syl = list(syl)
+    while True:
+        L = len(syl)
+        found = None
+        if L >= 2:
+            for i in range(L):
+                if syl[(i + 1) % L][0] == -syl[i][0] and syl[i][1] % n == 0:
+                    found = i
+                    break
+        if found is None:
+            return RelativeWord(syl)
+        i = found
+        j = (i + 1) % L
+        prev = (i - 1) % L
+        if prev == j:
+            raise ValueError("word reduces to a coefficient; no x letter left")
+        e_prev, p_prev = syl[prev]
+        syl[prev] = (e_prev, p_prev + syl[i][1] + syl[j][1])
+        syl = [syl[k] for k in range(L) if k != i and k != j]
+
+
+def test_cyclic_reduction_matches_the_pairwise_reference():
+    # the same syllables, integer exponents and all, or the same error;
+    # exponents are mostly multiples of n so that long chains cancel
+    rng = random.Random(71)
+    coefficients = 0
+    for _ in range(20000):
+        n = rng.randint(1, 6)
+        syl = [
+            (rng.choice((1, -1)), rng.choice((0, 0, 0, n, -n, rng.randint(-9, 9))))
+            for _ in range(rng.randint(1, 30))
+        ]
+        try:
+            want = pairwise_cyclic_reduce(syl, n)
+        except ValueError:
+            with pytest.raises(ValueError, match="coefficient"):
+                _cyclic_reduce_syllables(syl, n)
+            coefficients += 1
+            continue
+        assert _cyclic_reduce_syllables(syl, n) == want, (n, syl)
+    assert coefficients > 100
+
+
+def test_cyclic_reduction_takes_linear_time():
+    # x^k X^k cancels pair by pair from the middle; rescanning after each
+    # cancellation would take about k^2 / 2 = 2 * 10^8 steps here
+    k = 20000
+    W = RelativeWord([(1, 0)] * k + [(-1, 0)] * (k - 1) + [(-1, 3)])
+    start = time.perf_counter()
+    assert relative_orientable(W, 5)  # W = a^3, not conjugate to a^-3 mod 5
+    assert time.perf_counter() - start < 1.0
 
 
 def test_relative_orientable_gnkl_shape_always():
