@@ -3,6 +3,7 @@
 Subcommands: rewrite, classify, sweep, enumerate, orbits.  Exit codes:
 0 success, 2 invalid input (including an invalid retraction exponent,
 with the failing congruence printed), 3 undecided (coset limit reached).
+main reports any ValueError or OSError as ``error: <message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -85,22 +86,13 @@ def _print_orbit_report(report: dynamics.OrbitReport):
 
 
 def cmd_rewrite(args) -> int:
-    try:
-        W = relative.RelativeWord.from_text(args.word)
-        word = relative.rho(W, args.n, args.f)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    print(str(word))
+    W = relative.RelativeWord.from_text(args.word)
+    print(relative.rho(W, args.n, args.f))
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    try:
-        cls = taxonomy.classify(args.n, args.k, args.l)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    cls = taxonomy.classify(args.n, args.k, args.l)
     if args.json:
         print(json.dumps(_classification_report(cls)))
     else:
@@ -110,8 +102,7 @@ def cmd_classify(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.nmax < 1:
-        print("error: --nmax must be positive", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("--nmax must be positive")
     reports = [_classification_report(c) for c in taxonomy.sweep(args.nmax)]
     if args.json:
         print(json.dumps({"command": "sweep", "nmax": args.nmax, "triples": reports}))
@@ -134,12 +125,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        with open(args.file) as fh:
-            pres = enum.parse_presentation(fh.read())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    with open(args.file) as fh:
+        pres = enum.parse_presentation(fh.read())
     table = enum.todd_coxeter(pres, max_cosets=args.max_cosets)
     if not table.complete:
         print(
@@ -154,19 +141,14 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_orbits(args) -> int:
+    if args.word is not None:
+        w = parse_word(args.word, args.n)
+    elif args.k is None or args.l is None:
+        raise ValueError("need either --word or both --k and --l")
+    else:
+        w = gnkl(args.n, args.k, args.l).word
     try:
-        if args.word is not None:
-            w = parse_word(args.word, args.n)
-            if not w.is_cyclically_reduced:
-                raise ValueError(f"word {args.word!r} is not cyclically reduced")
-        else:
-            if args.k is None or args.l is None:
-                raise ValueError("need either --word or both --k and --l")
-            w = gnkl(args.n, args.k, args.l).word
         report = dynamics.shift_orbits(args.n, w, f=args.f, max_cosets=args.max_cosets)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except dynamics.EnumerationIncomplete as exc:
         print(f"undecided: {exc}")
         if args.word is None:
@@ -231,7 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -53,39 +53,28 @@ class RelativeWord:
 
     @classmethod
     def from_text(cls, text: str) -> "RelativeWord":
-        stream: List[Tuple[str, int]] = []
+        syllables: List[List[int]] = []
+        # a leading coefficient goes onto the last syllable (conjugation
+        # does not change the presented group)
+        lead = 0
         for tok in text.split():
-            if tok == "x":
-                stream.append(("x", 1))
-            elif tok == "X":
-                stream.append(("x", -1))
-            elif tok == "a":
-                stream.append(("a", 1))
-            elif tok == "A":
-                stream.append(("a", -1))
+            if tok in ("x", "X"):
+                syllables.append([1 if tok == "x" else -1, 0])
+                continue
+            if tok in ("a", "A"):
+                p = 1 if tok == "a" else -1
             elif tok.startswith("a^"):
-                stream.append(("a", int(tok[2:])))
+                p = int(tok[2:])
             else:
                 raise ValueError(f"bad relative-word token {tok!r}")
-        # a leading coefficient is rotated to the tail (conjugation does
-        # not change the presented group)
-        i = 0
-        while i < len(stream) and stream[i][0] == "a":
-            i += 1
-        if i == len(stream):
-            raise ValueError("a relative word needs at least one x letter")
-        stream = stream[i:] + stream[:i]
-        syllables: List[List[int]] = []
-        for kind, val in stream:
-            if kind == "x":
-                syllables.append([val, 0])
+            if syllables:
+                syllables[-1][1] += p
             else:
-                syllables[-1][1] += val
-        return cls((e, p) for e, p in syllables)
-
-    @property
-    def length(self) -> int:
-        return len(self.syllables)
+                lead += p
+        if not syllables:
+            raise ValueError("a relative word needs at least one x letter")
+        syllables[-1][1] += lead
+        return cls(syllables)
 
     @property
     def epsilon_sum(self) -> int:
@@ -98,23 +87,6 @@ class RelativeWord:
     def reduced(self, n: int) -> "RelativeWord":
         """Copy with all a-exponents normalized into [0, n)."""
         return RelativeWord((e, p % n) for e, p in self.syllables)
-
-    def is_cyclically_reduced(self, n: int) -> bool:
-        """No cyclic position where x^e a^{p=0 mod n} x^{-e} cancels."""
-        syl = self.syllables
-        L = len(syl)
-        return all(
-            not (syl[(i + 1) % L][0] == -syl[i][0] and syl[i][1] % n == 0)
-            for i in range(L)
-        )
-
-    def inverse(self) -> "RelativeWord":
-        """The inverse, rotated back into x-first form (a conjugate)."""
-        syl = self.syllables
-        L = len(syl)
-        return RelativeWord(
-            (-syl[L - 1 - i][0], -syl[(L - 2 - i) % L][1]) for i in range(L)
-        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RelativeWord) and self.syllables == other.syllables
@@ -237,12 +209,14 @@ def relative_orientable(W: RelativeWord, n: int) -> bool:
     2p = 0 (mod n).
     """
     try:
-        R = _cyclic_reduce_syllables(W.syllables, n)
+        syl = _cyclic_reduce_syllables(W.syllables, n).syllables
     except ValueError:  # only a coefficient is left
         return (2 * W.p_sum) % n != 0
-    syl = R.reduced(n).syllables
-    inv = R.inverse().reduced(n).syllables
-    return all(inv != syl[r:] + syl[:r] for r in range(len(syl)))
+    L = len(syl)
+    red = [(e, p % n) for e, p in syl]
+    # the inverse, rotated back into x-first form (a conjugate)
+    inv = [(-syl[L - 1 - i][0], -syl[(L - 2 - i) % L][1] % n) for i in range(L)]
+    return all(inv != red[r:] + red[:r] for r in range(L))
 
 
 def change_variable(W: RelativeWord, n: int, t: int) -> RelativeWord:

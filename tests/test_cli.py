@@ -208,6 +208,24 @@ def test_orbits_invalid_f_exit_2(capsys):
     assert code == 2 and "retraction" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("classify", "--n", "0", "--k", "0", "--l", "0"), "positive integer"),
+        (("sweep", "--nmax", "0"), "--nmax must be positive"),
+        (("orbits", "--n", "5", "--word", "x0 X0"), "not cyclically reduced"),
+        (("rewrite", "--n", "3", "--f", "0", "--word", "q"), "token"),
+        (("enumerate", "--file", "/nonexistent/x.txt"), "No such file"),
+        (("orbits", "--n", "5", "--word", "x0 x1 X2", "--f", "1"), "retraction"),
+    ],
+    ids=["classify", "sweep", "orbits-word", "rewrite", "enumerate", "orbits-f"],
+)
+def test_invalid_input_prints_one_error_line_and_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_orbits_invalid_f_at_huge_n_exit_2(capsys):
     # the valid exponents are solved for, not searched among all n
     code, _, err = run(capsys, "orbits", "--n", "10000000", "--k", "0", "--l", "1",

@@ -147,7 +147,7 @@ def test_index_multiplicativity():
         assert regular.count == over.count * order
 
 
-def test_standardized_determinism_and_strategy_agreement():
+def test_standardized_determinism():
     p = parse_presentation(K_TEXT)
     t1 = todd_coxeter(p)
     t2 = todd_coxeter(p)
@@ -293,30 +293,30 @@ def test_overflow_cap_one_is_legal():
 
 # -- presentation builders --------------------------------------------------------
 
-def semidirect(n, k, l):
+def lift_gnkl(n, k, l):
     """(a, x : a^n, x a^k x a^{l-k} x a^{-l}), the extension of C_n by G_n(k,l)."""
     return lift(to_relative(gnkl(n, k, l).word, n), n)
 
 
-def test_semidirect_presentation_examples():
-    p = semidirect(5, 1, 2)
+def test_lift_gnkl_examples():
+    p = lift_gnkl(5, 1, 2)
     assert p.generators == ("a", "x")
     assert p.relators[0] == (1,) * 5
     # x a x a x a^{-2}, exponents normalized into [0, 5)
     assert p.relators[1] == (2, 1, 2, 1, 2, 1, 1, 1)
 
-    p = semidirect(18, 1, 11)
+    p = lift_gnkl(18, 1, 11)
     assert p.relators[1] == (2, 1, 2) + (1,) * 10 + (2,) + (1,) * 7
 
 
-def test_semidirect_matches_relative_lift():
+def test_lift_gnkl_matches_spelled_out_lift():
     for n, k, l in ((5, 1, 2), (18, 1, 11), (7, 0, 3)):
         W = RelativeWord(((1, k), (1, l - k), (1, -l)))
         # a^n, and W with every a-exponent spelled out in [0, n)
         spelled = (2,) + (1,) * (k % n) + (2,) + (1,) * ((l - k) % n)
         spelled += (2,) + (1,) * (-l % n)
         assert lift(W, n) == FinitePresentation(("a", "x"), ((1,) * n, spelled))
-        assert semidirect(n, k, l) == lift(W, n)
+        assert lift_gnkl(n, k, l) == lift(W, n)
 
 
 def test_relative_to_presentation_from_word():
