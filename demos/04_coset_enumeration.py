@@ -54,9 +54,9 @@ print("|E| =", todd_coxeter(E).count, "(= n times the order of G_5(0,1))")
 # todd_coxeter enumerates the shortest form of (a, x : a^n, W) under
 # a = b^beta, x = y b^{-d}, and rebuilds the table in a and x.
 E = replace(lift(to_relative(gnkl(12, 9, 8).word, 12), 12), subgroup=((1,),))
-relators, _, _, beta, d = relabel(E)
+_, relators, _, _, beta, d = relabel(E)
 print("\nG_12(9,8): W =", E.word_text(E.relators[1]))
-print(f"enumerated with beta = {beta}, d = {d} as W =", E.word_text(relators[1]))
+print(f"enumerated with beta = {beta}, d = {d} as W =", E.word_text(relators[0]))
 t = todd_coxeter(E)
 print(f"index {t.count}, {t.defined} cosets defined")
 

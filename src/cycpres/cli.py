@@ -148,7 +148,7 @@ def cmd_orbits(args) -> int:
     else:
         w = gnkl(args.n, args.k, args.l).word
     try:
-        report = dynamics.shift_orbits(args.n, w, f=args.f, max_cosets=args.max_cosets)
+        report = dynamics.shift_orbits(args.n, w, max_cosets=args.max_cosets)
     except dynamics.EnumerationIncomplete as exc:
         print(f"undecided: {exc}")
         if args.word is None:
@@ -203,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--word", help="defining word in x<i>/X<i> tokens")
-    p.add_argument("--f", type=int, default=0, help="retraction exponent (default 0)")
     p.add_argument("--max-cosets", type=int, default=1_000_000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_orbits)

@@ -14,39 +14,43 @@ first-visit order, columns scanned in declared generator order), so the
 result does not depend on how the enumeration went.
 
 Before HLT runs, relators are shortened modulo the power relators
-among them.  For each generator g, the shortest relator of the form
-g^m (or G^m) is kept, and in every other relator each maximal run of g
-and G is replaced by g^e with its net exponent e reduced into
-(-m/2, m/2] (so ``a^{n-1}`` becomes ``A`` given ``a^n``).  Each such
-step multiplies a relator by a conjugate of g^{+-m}, which leaves the
-group and the subgroup unchanged; since standardized tables are
-canonical, the tables returned do not change either, only the work
+among them (``_reduce_powers``, the one place that decides a relator is
+a power).  For each generator g, the shortest relator of the form g^m
+(or G^m) is kept as a power relator, and in every other relator each
+maximal run of g and G is replaced by g^e with its net exponent e
+reduced into (-m/2, m/2] (so ``a^{n-1}`` becomes ``A`` given ``a^n``).
+Each such step multiplies a relator by a conjugate of g^{+-m}, which
+leaves the group and the subgroup unchanged; since standardized tables
+are canonical, the tables returned do not change either, only the work
 spent reaching them.  Completed tables are audited against the caller's
 relators, never the shortened ones.
 
-HLT then scans cyclic conjugates in place of the shortened relators
-(``_scan_list``): every relator other than a power relator becomes its
-distinct rotations that begin at a letter of a generator with no power
-relator, such as the three rotations of ``x a^k x a^{l-k} x a^{-l}``
-that begin at an x.  Cyclic conjugates have the same normal closure, so
-again only the work changes: a deduction that a rotation gives at once
-no longer waits for the scan from the relator's first letter.  After a
-lookahead pass, HLT resumes at the first live coset at or after the one
-it was working on, and the lookahead pass starts there too.  Every live
-coset below that point has every relator closed and a full row, and
-coincidences keep both, so scanning those cosets again would define and
-merge nothing.  For the same reason HLT scans a power relator g^m once
-per g-cycle, not once per coset: when a coset's scans leave it alive,
-its g-cycle is closed, so one walk along it records the other cosets on
-it, and those are scanned without g^m, whose scan there would walk a
-closed path and change nothing.  Each HLT pass starts with no records,
-since a lookahead pass renumbers the cosets.  Lookahead scans the whole
-list at every coset: there most g-paths are still open, and walking
-them cost more than the scans it saved.
+The power relators kept go to HLT as a list of their own, and are
+scanned at each coset before the others, short relators first.  In
+place of the other relators HLT scans cyclic conjugates
+(``_scan_list``): each becomes its distinct rotations that begin at a
+letter of a generator with no power relator, such as the three
+rotations of ``x a^k x a^{l-k} x a^{-l}`` that begin at an x.  Cyclic
+conjugates have the same normal closure, so again only the work
+changes: a deduction that a rotation gives at once no longer waits for
+the scan from the relator's first letter.  After a lookahead pass, HLT
+resumes at the first live coset at or after the one it was working on,
+and the lookahead pass starts there too.  Every live coset below that
+point has every relator closed and a full row, and coincidences keep
+both, so scanning those cosets again would define and merge nothing.
+For the same reason HLT scans a power relator g^m once per g-cycle, not
+once per coset: when the scan of g^m leaves a coset alive, its g-cycle
+is closed, so one walk along it records the other cosets on it, and those
+are scanned without g^m, whose scan there would walk a closed path and
+change nothing.  Each HLT pass starts with no records, since a
+lookahead pass renumbers the cosets.  Lookahead scans every power
+relator and the whole list at every coset: there most g-paths are still
+open, and walking them cost more than the scans it saved.
 
 Before any of that, ``relabel`` picks new generators for presentations
-on two generators g and x in which g alone has a power relator g^m and
-every subgroup generator is a power of g, such as the extension
+on two generators g and x in which g alone has a power relator g^m,
+every other relator has an x and every subgroup generator is a power of
+g, such as the extension
 (a, x : a^n, W) over <a>.  In new generators b and y with g = b^beta
 (beta a unit mod m) and x = y b^{-d}, the other relators are rewritten
 from their (x-sign, g-run) syllables by integer arithmetic, and the form
@@ -63,8 +67,8 @@ the one finish below serves both forms.
 The table is stored column-major: one list per generator and inverse
 column, indexed by coset, beside the union-find list.  Defining a coset
 appends an empty entry to each column, and compression rewrites the
-columns in place.  One scan routine serves every pass: it runs the
-whole scan list from one coset, filling gaps with new cosets in HLT and
+columns in place.  One scan routine serves every pass: it runs a list
+of words from one coset, filling gaps with new cosets in HLT and
 subgroup scans and only applying deductions and coincidences in
 lookahead, with definitions and merges done inline.
 
@@ -265,8 +269,7 @@ class CosetTable:
 
     def trace(self, coset: int, word: WordInts) -> int:
         """Follow ``word`` from ``coset``; -1 if an entry is undefined."""
-        for g in word:
-            col = 2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1
+        for col in _columns(word):
             coset = self.rows[coset][col]
             if coset < 0:
                 return -1
@@ -285,6 +288,11 @@ class CosetTable:
         return "\n".join(lines)
 
 
+def _columns(word: WordInts) -> WordInts:
+    """Table columns a word reads: 2i for generator i + 1, 2i + 1 for its inverse."""
+    return tuple(2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1 for g in word)
+
+
 class _TableFull(Exception):
     pass
 
@@ -301,19 +309,21 @@ class _Enumerator:
     as the columns it reads forwards and the inverse columns it reads
     backwards; ``_compress`` keeps the column lists, so these stay valid.
 
-    A scan word that is one column repeated is a power relator g^m.  Each
-    HLT pass keeps one record per power relator, the cosets whose g-cycle
-    is known closed (a g^m = a), and scans a coset without the power
-    relators whose records hold it.
+    The power relators g^m come as a list of their own, ``powers``, and
+    the other relators as ``rels``.  Each HLT pass keeps one record per
+    power relator, the cosets whose g-cycle is known closed (a g^m = a).
+    At each live coset it scans the power relators whose records do not
+    hold it, walking the g-cycle that each such scan leaves closed into
+    the record, and then ``rels``.  A closed path stays closed under
+    definitions and coincidences, so a record stays true.
     """
 
-    __slots__ = (
-        "max", "cols", "pairs", "rels", "subs", "p", "dropped", "powers", "lists"
-    )
+    __slots__ = ("max", "cols", "pairs", "powers", "rels", "subs", "p", "dropped")
 
     def __init__(
         self,
         ngens: int,
+        powers: Sequence[WordInts],
         relators: Sequence[WordInts],
         subgroup: Sequence[WordInts],
         max_cosets: int,
@@ -321,24 +331,16 @@ class _Enumerator:
         self.max = max(1, max_cosets)
         self.cols: List[List[int]] = [[0, 0] for _ in range(2 * ngens)]
         self.pairs = [(col, self.cols[c ^ 1]) for c, col in enumerate(self.cols)]
+        # g^m reads g's columns m times, built from one letter
+        self.powers = [tuple(c * len(w) for c in self._reads(w[:1])) for w in powers]
         self.rels = [self._reads(w) for w in relators]
         self.subs = [self._reads(w) for w in subgroup]
         self.p = [0, 1]
         self.dropped = 0  # dead rows removed by compressions
-        # each power relator g^m as (its bit, its place in rels, g's column)
-        powers = [i for i, w in enumerate(relators) if w.count(w[0]) == len(w)]
-        self.powers = [(1 << j, i, self.rels[i][0][0]) for j, i in enumerate(powers)]
-        self.lists = {0: self.rels}  # bits of skipped power relators -> words to scan
-
-    @staticmethod
-    def _columns(word: WordInts) -> WordInts:
-        return tuple(2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1 for g in word)
 
     def _reads(self, word: WordInts):
         """The columns a scan of a nonempty word reads, forwards and back."""
-        m = len(word) if word.count(word[0]) == len(word) else 1  # g^m in one step
-        pairs = [self.pairs[c] for c in self._columns(word[: len(word) // m])]
-        return tuple(cols * m for cols in zip(*pairs))
+        return tuple(zip(*[self.pairs[c] for c in _columns(word)]))
 
     @property
     def defined(self) -> int:
@@ -433,46 +435,33 @@ class _Enumerator:
                     continue
                 break
 
-    def _words(self, skipped: int):
-        """The scan list without the power relators whose bits are in ``skipped``."""
-        words = self.lists.get(skipped)
-        if words is None:
-            drop = {i for bit, i, _ in self.powers if skipped & bit}
-            words = [w for i, w in enumerate(self.rels) if i not in drop]
-            self.lists[skipped] = words
-        return words
-
     def run(self) -> bool:
         """Enumerate by HLT with lookahead; False when the cap was hit."""
         start = 1  # live cosets below start have every relator closed, rows full
-        cols, p, lists = self.cols, self.p, self.lists
-        full = (1 << len(self.powers)) - 1  # every power relator skipped
+        cols, p, rels = self.cols, self.p, self.rels
         while True:
             a = start
-            # one record per power relator: its bit, g's column and the
+            # one record per power relator g^m: its scan, g's column and the
             # cosets whose g-cycle is known closed, so g^m is not scanned there
-            records = [(bit, col, set()) for bit, _, col in self.powers]
+            records = [((w,), w[0][0], set()) for w in self.powers]
             try:
                 if start == 1:
                     self._scan(1, self.subs, True)
                 while a < len(p):
                     if p[a] == a:
-                        skipped = 0
-                        for bit, _, record in records:
+                        for power, col, record in records:
                             if a in record:
-                                skipped |= bit
-                        words = lists.get(skipped) or self._words(skipped)
-                        self._scan(a, words, True)
-                        if skipped != full and p[a] == a:
-                            # the scans closed each g^m at a: a g^m = a, and
-                            # g^m would change nothing on the rest of a's cycle
-                            for bit, col, record in records:
-                                if not skipped & bit:
-                                    add = record.add
-                                    c = col[a]
-                                    while c != a:
-                                        add(c)
-                                        c = col[c]
+                                continue
+                            self._scan(a, power, True)
+                            if p[a] == a:
+                                # the scan closed g^m at a: a g^m = a, and g^m
+                                # would change nothing on the rest of a's cycle
+                                add = record.add
+                                c = col[a]
+                                while c != a:
+                                    add(c)
+                                    c = col[c]
+                        self._scan(a, rels, True)
                     if p[a] == a:
                         for col, inv in self.pairs:
                             if not col[a]:
@@ -499,9 +488,10 @@ class _Enumerator:
         """
         p = self.p
         before = sum(1 for a in range(1, len(p)) if p[a] == a)
+        words = self.powers + self.rels
         for a in range(start, len(p)):
             if p[a] == a:
-                self._scan(a, self.rels, False)
+                self._scan(a, words, False)
         resume = 1 + sum(1 for b in range(1, start) if p[b] == b)
         self._compress()
         live = len(p) - 1
@@ -553,15 +543,20 @@ def _reduced(e: int, m: int) -> int:
     return e - m if 2 * e > m else e
 
 
-def _reduce_powers(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
+def _reduce_powers(
+    relators: Sequence[WordInts],
+) -> Tuple[Tuple[WordInts, ...], Tuple[WordInts, ...]]:
     """Shorten relators modulo the power relators among them.
 
-    For each generator g, the shortest relator that is one letter
-    repeated (g^m or G^m) is kept as written.  In every other relator,
-    each maximal run of g and G becomes g^e, with its net exponent e
-    reduced into (-m/2, m/2]; runs and relators that vanish are dropped.
-    Every step multiplies a relator by a conjugate of g^m or G^m, so the
-    presented group is unchanged.
+    Returns (powers, others).  For each generator g, the shortest relator
+    that is one letter repeated (g^m or G^m) is kept as written, and
+    ``powers`` holds these in relator order.  ``others`` holds every
+    other relator, each maximal run of g and G in it replaced by g^e,
+    with its net exponent e reduced into (-m/2, m/2]; runs and relators
+    that vanish are dropped.  Every step multiplies a relator by a
+    conjugate of g^m or G^m, so the presented group is unchanged.  A
+    longer power of a generator that has one stays in ``others``: given
+    a^4, a^6 becomes a^2.
     """
     shortest: Dict[int, int] = {}  # generator -> index of its power relator
     for i, w in enumerate(relators):
@@ -572,10 +567,9 @@ def _reduce_powers(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
             shortest[g] = i
     period = {g: len(relators[i]) for g, i in shortest.items()}
     kept = set(shortest.values())
-    out: List[WordInts] = []
+    others: List[WordInts] = []
     for i, w in enumerate(relators):
         if i in kept:
-            out.append(w)
             continue
         rel: List[int] = []
         for g, run in groupby(w, key=abs):
@@ -587,29 +581,28 @@ def _reduce_powers(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
             e = _reduced(len(run) - 2 * run.count(-g), m)
             rel.extend([g] * e if e > 0 else [-g] * -e)
         if rel:
-            out.append(tuple(rel))
-    return tuple(out)
+            others.append(tuple(rel))
+    return tuple(relators[i] for i in sorted(kept)), tuple(others)
 
 
-def _scan_list(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
-    """The relators HLT scans: each relator or its cyclic conjugates.
+def _scan_list(
+    powers: Sequence[WordInts], others: Sequence[WordInts]
+) -> Tuple[WordInts, ...]:
+    """The words HLT scans for ``others``: each relator or its cyclic conjugates.
 
-    Each relator that is one letter repeated is kept as written.  Every
-    other relator is replaced by its distinct cyclic conjugates that
-    begin at a letter of a generator with no power relator (for
+    Each relator is replaced by its distinct cyclic conjugates that begin
+    at a letter of a generator with no power relator in ``powers`` (for
     ``x a^k x a^{l-k} x a^{-l}``, the three rotations that begin at an
     x); a relator with no such letter stays as written, and so does one
     whose rotations would take the list past ``MAX_WORD_LENGTH`` letters,
     since a relator of length L can have L rotations of L letters.
     Conjugates already in the list are not added again.
     """
-    powered = {abs(w[0]) for w in relators if w.count(w[0]) == len(w)}
+    powered = {abs(w[0]) for w in powers}
     out: Dict[WordInts, None] = {}
     room = MAX_WORD_LENGTH
-    for w in relators:
-        starts = []
-        if w.count(w[0]) != len(w):
-            starts = [i for i, g in enumerate(w) if abs(g) not in powered]
+    for w in others:
+        starts = [i for i, g in enumerate(w) if abs(g) not in powered]
         if len(starts) * len(w) > room:
             starts = []
         room -= len(starts) * len(w)
@@ -620,18 +613,20 @@ def _scan_list(relators: Sequence[WordInts]) -> Tuple[WordInts, ...]:
 def relabel(pres: FinitePresentation):
     """The shortest form of ``pres`` under g = b^beta, x = y b^{-d}.
 
-    Returns (relators, subgroup, power, beta, d), the form ``todd_coxeter``
-    enumerates.  Its generators b and y keep the names and places of the
-    caller's g (generator number ``power``, 1-based) and x.  The relators
-    are shortened already: ``_reduce_powers(pres.relators)`` when the
-    caller's form is kept (power 0, beta 1, d 0, and the caller's
-    subgroup), and words with every g-run reduced into (-m/2, m/2] beside
-    the one power relator otherwise.  No presentation is built, so letters
-    taken from the caller's checked words are not checked again.
+    Returns (powers, relators, subgroup, power, beta, d), the form
+    ``todd_coxeter`` enumerates.  Its generators b and y keep the names
+    and places of the caller's g (generator number ``power``, 1-based)
+    and x.  The relators are shortened already: ``powers`` and
+    ``relators`` are ``_reduce_powers(pres.relators)`` when the caller's
+    form is kept (power 0, beta 1, d 0, and the caller's subgroup), and
+    otherwise the one power relator and words with every g-run reduced
+    into (-m/2, m/2].  No presentation is built, so letters taken from
+    the caller's checked words are not checked again.
 
     Applies to a presentation on two generators g and x in which, once
-    relators are shortened by ``_reduce_powers``, exactly one relator is a
-    power g^m (or G^m) and every subgroup generator is a power of g.
+    relators are shortened by ``_reduce_powers``, g alone has a power
+    relator g^m (or G^m), every other relator has an x, and every
+    subgroup generator is a power of g.
     Every other relator is read as cyclic syllables x^{s_i} g^{p_i}
     (rotated to begin at an x); in the new generators the run after
     x^{s_i} is ``beta p_i + d ([s_{i+1} = -1] - [s_i = +1])``, reduced
@@ -648,17 +643,18 @@ def relabel(pres: FinitePresentation):
     becomes b^{gcd(e, m)}, which generates the same subgroup.
     Applying ``relabel`` to the form returned gives it back unchanged.
     """
-    rels = _reduce_powers(pres.relators)
-    unchanged = (rels, pres.subgroup, 0, 1, 0)
-    powers = [i for i, w in enumerate(rels) if w.count(w[0]) == len(w)]
+    powers, rels = _reduce_powers(pres.relators)
+    unchanged = (powers, rels, pres.subgroup, 0, 1, 0)
     if len(pres.generators) != 2 or len(powers) != 1:
         return unchanged
-    g, m = abs(rels[powers[0]][0]), len(rels[powers[0]])
+    g, m = abs(powers[0][0]), len(powers[0])
     x = 3 - g
     if any(abs(c) != g for w in pres.subgroup for c in w):
         return unchanged
-    words = {i: _syllables(w, x) for i, w in enumerate(rels) if i != powers[0]}
-    runs = [(p, c) for syllables in words.values() for _, p, c in syllables]
+    if any(x not in w and -x not in w for w in rels):  # such as a^2 beside a^4
+        return unchanged
+    words = [_syllables(w, x) for w in rels]
+    runs = [(p, c) for syllables in words for _, p, c in syllables]
 
     def letters(beta: int, d: int) -> int:
         return sum(min(t, m - t) for t in ((beta * p + c * d) % m for p, c in runs))
@@ -676,15 +672,15 @@ def relabel(pres: FinitePresentation):
     _, moved, beta, d = best
     if not moved:
         return unchanged
-    relators = list(rels)
-    for i, syllables in words.items():
+    relators = []
+    for syllables in words:
         word: List[int] = []
         for s, p, c in syllables:
             r = _reduced(beta * p + c * d, m)
             word += [s * x] + ([g] * r if r > 0 else [-g] * -r)
-        relators[i] = tuple(word)
+        relators.append(tuple(word))
     subgroup = tuple((g,) * gcd(len(w) - 2 * w.count(-g), m) for w in pres.subgroup)
-    return tuple(relators), subgroup, g, beta, d
+    return powers, tuple(relators), subgroup, g, beta, d
 
 
 def _units_near(q: int, bound: int, m: int) -> List[int]:
@@ -768,8 +764,9 @@ def todd_coxeter(pres: FinitePresentation, max_cosets: int = 1_000_000) -> Coset
     ``max_cosets`` bounds, and ``defined`` counts, the cosets of that
     run; the table returned is in the caller's generators.
     """
-    relators, subgroup, power, beta, d = relabel(pres)
-    enum = _Enumerator(len(pres.generators), _scan_list(relators), subgroup, max_cosets)
+    powers, relators, subgroup, power, beta, d = relabel(pres)
+    scan = _scan_list(powers, relators)
+    enum = _Enumerator(len(pres.generators), powers, scan, subgroup, max_cosets)
     complete = enum.run()
     if power:
         enum.cols = _caller_columns(enum.cols, power, beta, d)
@@ -823,7 +820,7 @@ def audit_table(table: CosetTable, pres: FinitePresentation):
     squares: Dict[int, List[Sequence[int]]] = {}  # column -> its squares
     for r in pres.relators:
         cur = every
-        for c, run in groupby(_Enumerator._columns(r)):
+        for c, run in groupby(_columns(r)):
             col = _power(squares.setdefault(c, [cols[c]]), sum(1 for _ in run))
             cur = [col[i] for i in cur]
         if cur != every:

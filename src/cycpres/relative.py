@@ -132,12 +132,6 @@ def valid_retractions(W: RelativeWord, n: int) -> Tuple[Retraction, ...]:
     return tuple(Retraction(f, eps, p) for f in range(f0, n, step))
 
 
-def is_valid_retraction(W: RelativeWord, n: int, f: int) -> bool:
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    return (W.epsilon_sum * f + W.p_sum) % n == 0
-
-
 def rho(W: RelativeWord, n: int, f: int) -> Word:
     """Rewrite W into the defining word of the kernel of the retraction f.
 
@@ -148,8 +142,10 @@ def rho(W: RelativeWord, n: int, f: int) -> Word:
     >>> str(rho(RelativeWord.from_text("x x x"), 3, 1))
     'x0 x1 x2'
     """
-    if not is_valid_retraction(W, n, f):
-        eps, p = W.epsilon_sum, W.p_sum
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    eps, p = W.epsilon_sum, W.p_sum
+    if (eps * f + p) % n:
         raise ValueError(
             f"f={f} is not a retraction exponent: "
             f"{eps}*{f} + {p} = {eps * f + p} != 0 (mod {n})"

@@ -153,7 +153,8 @@ class RestartEnumerator:
 
         self.ncols = 2 * len(pres.generators)
         self.max = max_cosets
-        self.rels = [columns(w) for w in _scan_list(_reduce_powers(pres.relators))]
+        powers, others = _reduce_powers(pres.relators)
+        self.rels = [columns(w) for w in powers + _scan_list(powers, others)]
         self.subs = [columns(w) for w in pres.subgroup]
         self.tbl = [[], [0] * self.ncols]
         self.p = [0, 1]

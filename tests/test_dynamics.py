@@ -40,20 +40,6 @@ def test_n1_is_rejected():
         shift_orbits(1, parse_word("x0 x0 x0", 1))
 
 
-def test_invalid_retraction_exponent_rejected():
-    with pytest.raises(ValueError, match="retraction exponent"):
-        shift_orbits(5, parse_word("x0 x1 X2", 5), f=1)
-
-
-def test_other_retraction_same_dynamics():
-    # G_9(3,1) admits retraction exponents {0, 3, 6}; the kernels are
-    # commensurable and the coset dynamics are literally the same table
-    w = gnkl(9, 3, 1).word
-    base = shift_orbits(9, w, f=0)
-    for f in (3, 6):
-        assert shift_orbits(9, w, f=f) == base
-
-
 def test_overflow_raises_undecided():
     with pytest.raises(EnumerationIncomplete):
         shift_orbits(6, gnkl(6, 1, 5).word, max_cosets=200)

@@ -10,6 +10,7 @@ from cycpres.enumerate import (
     CosetTable,
     FinitePresentation,
     _Enumerator,
+    _columns,
     _reduce_powers,
     _scan_list,
     audit_table,
@@ -331,35 +332,37 @@ A5 = (1,) * 5
 
 
 def test_reduce_powers_keeps_the_power_relator():
-    assert _reduce_powers((A5,)) == (A5,)
-    assert _reduce_powers((A5, A5)) == (A5,)  # the copy reduces to nothing
+    assert _reduce_powers((A5,)) == ((A5,), ())
+    assert _reduce_powers((A5, A5)) == ((A5,), ())  # the copy reduces to nothing
 
 
 def test_reduce_powers_writes_a_to_the_minus_one():
     # a^4 = a^{-1} and a A a = a, given a^5
-    assert _reduce_powers((A5, (2, 1, 1, 1, 1))) == (A5, (2, -1))
-    assert _reduce_powers((A5, (2, 1, -1, 1))) == (A5, (2, 1))
+    assert _reduce_powers((A5, (2, 1, 1, 1, 1))) == ((A5,), ((2, -1),))
+    assert _reduce_powers((A5, (2, 1, -1, 1))) == ((A5,), ((2, 1),))
 
 
 def test_reduce_powers_drops_runs_that_vanish():
     rels = (A5, (2, 1, 1, 1, 1, 1, 2), (2,) + (-1,) * 10 + (-2,))
-    assert _reduce_powers(rels) == (A5, (2, 2), (2, -2))
+    assert _reduce_powers(rels) == ((A5,), ((2, 2), (2, -2)))
 
 
 def test_reduce_powers_inverse_power_relator():
     rels = ((-1,) * 5, (2, 1, 1, 1, 1), (2, -1, -1, -1))
-    assert _reduce_powers(rels) == ((-1,) * 5, (2, -1), (2, 1, 1))
+    assert _reduce_powers(rels) == (((-1,) * 5,), ((2, -1), (2, 1, 1)))
 
 
 def test_reduce_powers_uses_the_shortest_power_relator():
-    rels = ((1,) * 6, (1,) * 4, (2, 1, 1, 1))
-    assert _reduce_powers(rels) == ((1, 1), (1,) * 4, (2, -1))
+    # a^6 shortens to a^2 but is not the power relator kept for a
+    rels = ((1,) * 6, (1,) * 4, (2, 1, 1, 1), (2,) * 3)
+    assert _reduce_powers(rels) == (((1,) * 4, (2,) * 3), ((1, 1), (2, -1)))
 
 
 def test_reduce_powers_tie_keeps_the_positive_exponent():
     k = parse_presentation(K_TEXT)  # b^6, u u b^3 u b^2
-    assert _reduce_powers(k.relators) == k.relators
-    assert _reduce_powers(((1,) * 6, (2, -1, -1, -1))) == ((1,) * 6, (2, 1, 1, 1))
+    assert _reduce_powers(k.relators) == (k.relators[:1], k.relators[1:])
+    rels = ((1,) * 6, (2, -1, -1, -1))
+    assert _reduce_powers(rels) == (((1,) * 6,), ((2, 1, 1, 1),))
 
 
 def _shifted_lift(W, n, signs):
@@ -454,8 +457,7 @@ def test_scan_list_rotates_w_at_each_x():
     # G_5(2,1): a^5 and the shortened W = x a^2 x A x A; the three
     # rotations of W that begin at an x
     w = (2, 1, 1, 2, -1, 2, -1)
-    assert _scan_list((A5, w)) == (
-        A5,
+    assert _scan_list((A5,), (w,)) == (
         w,
         (2, -1, 2, -1, 2, 1, 1),
         (2, -1, 2, 1, 1, 2, -1),
@@ -463,18 +465,19 @@ def test_scan_list_rotates_w_at_each_x():
 
 
 def test_scan_list_keeps_power_relators():
-    # a^5 and A^3 as written; x a x becomes its two rotations at an x
-    rels = (A5, (-1,) * 3, (2, 1, 2))
-    assert _scan_list(rels) == (A5, (-1,) * 3, (2, 1, 2), (2, 2, 1))
+    # a^5 is scanned beside the list, not in it; A^3, a power of a that
+    # _reduce_powers leaves among the others, stays as written; x a x
+    # becomes its two rotations at an x
+    others = ((-1,) * 3, (2, 1, 2))
+    assert _scan_list((A5,), others) == ((-1,) * 3, (2, 1, 2), (2, 2, 1))
 
 
 def test_scan_list_keeps_relators_of_powered_generators():
-    rels = ((1,) * 4, (2,) * 3, (1, 2, -1, 2))
-    assert _scan_list(rels) == rels
+    assert _scan_list(((1,) * 4, (2,) * 3), ((1, 2, -1, 2),)) == ((1, 2, -1, 2),)
 
 
 def test_scan_list_without_power_relators_takes_every_rotation():
-    assert _scan_list(((1, 2, -1, -2),)) == (
+    assert _scan_list((), ((1, 2, -1, -2),)) == (
         (1, 2, -1, -2),
         (2, -1, -2, 1),
         (-1, -2, 1, 2),
@@ -483,8 +486,9 @@ def test_scan_list_without_power_relators_takes_every_rotation():
 
 
 def test_scan_list_drops_repeated_conjugates():
-    assert _scan_list(((1, 2, 1, 2),)) == ((1, 2, 1, 2), (2, 1, 2, 1))
-    assert _scan_list(((1, 2, 3), (3, 1, 2))) == ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+    assert _scan_list((), ((1, 2, 1, 2),)) == ((1, 2, 1, 2), (2, 1, 2, 1))
+    rels = ((1, 2, 3), (3, 1, 2))
+    assert _scan_list((), rels) == ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
 def test_scan_list_letters_are_bounded():
@@ -492,24 +496,24 @@ def test_scan_list_letters_are_bounded():
     # relator is scanned as written
     side = int(MAX_WORD_LENGTH ** 0.5)
     fits = (1,) + (2,) * (side - 1)
-    assert len(_scan_list((fits,))) == side
-    assert _scan_list((fits + (2,),)) == (fits + (2,),)
-    assert _scan_list((fits, (1, 2))) == _scan_list((fits,)) + ((1, 2),)
+    assert len(_scan_list((), (fits,))) == side
+    assert _scan_list((), (fits + (2,),)) == (fits + (2,),)
+    assert _scan_list((), (fits, (1, 2))) == _scan_list((), (fits,)) + ((1, 2),)
 
 
 # -- the shortest relabelling g = b^beta, x = y b^{-d} ---------------------------
 
 def relabelled(pres):
     """The form ``todd_coxeter`` enumerates, as a presentation."""
-    relators, subgroup, _, _, _ = relabel(pres)
-    return FinitePresentation(pres.generators, relators, subgroup)
+    powers, relators, subgroup, _, _, _ = relabel(pres)
+    return FinitePresentation(pres.generators, powers + relators, subgroup)
 
 
 def test_relabel_picks_the_shortest_form():
     pres = extension(12, 9, 8)  # W shortens to x a^-3 x A x a^4
-    relators, subgroup, power, beta, d = relabel(pres)
+    powers, relators, subgroup, power, beta, d = relabel(pres)
     assert (power, beta, d) == (1, 5, -4)
-    assert relators == ((1,) * 12, (2, 1, 2, -1, 2))
+    assert (powers, relators) == (((1,) * 12,), ((2, 1, 2, -1, 2),))
     assert subgroup == ((1,),)
 
 
@@ -525,7 +529,12 @@ def test_a_relabelled_run_is_audited_once_against_the_callers_presentation(
 
 def test_relabel_leaves_g12_0_1_as_it_is():
     pres = extension(12, 0, 1)
-    assert relabel(pres) == (_reduce_powers(pres.relators), pres.subgroup, 0, 1, 0)
+    assert relabel(pres) == (*_reduce_powers(pres.relators), pres.subgroup, 0, 1, 0)
+
+
+TWO_POWERS_OF_A = FinitePresentation.make(
+    ("a", "x"), ("a^6", "a^4", "x x a x A"), ("a",)
+)
 
 
 @pytest.mark.parametrize(
@@ -535,11 +544,26 @@ def test_relabel_leaves_g12_0_1_as_it_is():
         dihedral_pres(6),  # two generators with power relators
         FinitePresentation.make(("a", "x"), ("x a^3 x A^3 x",)),  # none
         FinitePresentation.make(("a", "x"), ("a^7", "x a^3 x a^3"), ("x",)),
+        TWO_POWERS_OF_A,
     ],
-    ids=["three generators", "two powers", "no power", "subgroup with x"],
+    ids=[
+        "three generators",
+        "two powers",
+        "no power",
+        "subgroup with x",
+        "a power of a among the others",
+    ],
 )
 def test_relabel_leaves_other_presentations_alone(pres):
-    assert relabel(pres) == (_reduce_powers(pres.relators), pres.subgroup, 0, 1, 0)
+    assert relabel(pres) == (*_reduce_powers(pres.relators), pres.subgroup, 0, 1, 0)
+
+
+def test_a_power_among_the_others_is_enumerated_as_given():
+    # a^4 is the power relator kept; a^6 shortens to a^2, which has no x
+    t = todd_coxeter(TWO_POWERS_OF_A)
+    assert t.complete and t.count == 3
+    ref = RestartEnumerator(TWO_POWERS_OF_A, 1_000_000)
+    assert (t.status, t.defined, t.rows) == ref.table()
 
 
 def test_relabelling_a_relabelled_presentation_changes_nothing():
@@ -548,9 +572,12 @@ def test_relabelling_a_relabelled_presentation_changes_nothing():
         for k in range(n):
             for l in range(n):
                 if classify(n, k, l).finite:
-                    relators, subgroup, power, _, _ = relabel(extension(n, k, l))
-                    form = FinitePresentation(("a", "x"), relators, subgroup)
-                    assert relabel(form) == (relators, subgroup, 0, 1, 0), (n, k, l)
+                    powers, relators, subgroup, power, _, _ = relabel(
+                        extension(n, k, l)
+                    )
+                    form = FinitePresentation(("a", "x"), powers + relators, subgroup)
+                    unchanged = (powers, relators, subgroup, 0, 1, 0)
+                    assert relabel(form) == unchanged, (n, k, l)
                     moved += power != 0
     assert moved > 0
 
@@ -588,7 +615,7 @@ SKIP_CASES = [
     ("K_over_b", parse_presentation(K_TEXT)),
     ("A5_powers_first", FinitePresentation.make(("a", "b"), A5_RELATORS)),
     ("A5_powers_last", FinitePresentation.make(("a", "b"), A5_RELATORS[::-1])),
-    # (a, x : W, a^n): the power relator is scanned after W's rotations
+    # (a, x : W, a^n): listed after W, the power relator is still scanned first
     (
         "W_before_a12",
         FinitePresentation(
@@ -602,13 +629,16 @@ SKIP_CASES = [
     "pres", [p for _, p in SKIP_CASES], ids=[i for i, _ in SKIP_CASES]
 )
 def test_power_relator_reads_match_the_letter_by_letter_reads(pres):
-    enum = _Enumerator(len(pres.generators), pres.relators, pres.subgroup, 100)
-    for words, reads in ((pres.relators, enum.rels), (pres.subgroup, enum.subs)):
+    powers, others = _reduce_powers(pres.relators)
+    enum = _Enumerator(len(pres.generators), powers, others, pres.subgroup, 100)
+    cases = ((powers, enum.powers), (others, enum.rels), (pres.subgroup, enum.subs))
+    for words, reads in cases:
+        assert len(reads) == len(words)
         for word, got in zip(words, reads):
-            letters = zip(*[enum.pairs[c] for c in enum._columns(word)])
+            letters = zip(*[enum.pairs[c] for c in _columns(word)])
             ids = [[id(col) for col in r] for r in letters]
             assert [[id(col) for col in r] for r in got] == ids
-    assert any(len(set(w)) == 1 < len(w) for w in pres.relators)
+    assert powers
 
 
 @pytest.mark.parametrize(
@@ -680,8 +710,8 @@ def test_a_relabelled_form_is_already_shortened():
         for k in range(n):
             for l in range(n):
                 if classify(n, k, l).finite:
-                    relators, _, power, _, _ = relabel(extension(n, k, l))
+                    powers, relators, _, power, _, _ = relabel(extension(n, k, l))
                     if power:
-                        assert _reduce_powers(relators) == relators
+                        assert _reduce_powers(powers + relators) == (powers, relators)
                         moved += 1
     assert moved > 0

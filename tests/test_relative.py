@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cycpres.cyclic import CyclicPresentation, orientability
+from cycpres.cyclic import CyclicPresentation, gnkl, orientability
 from cycpres.relative import (
     RelativeWord,
     _cyclic_reduce_syllables,
@@ -114,6 +114,14 @@ def test_valid_retractions_match_the_scan_over_every_f():
     for n in (0, -6):
         with pytest.raises(ValueError, match="positive"):
             valid_retractions(R("x a^6"), n)
+
+
+def test_valid_retractions_at_huge_n_are_solved_not_searched():
+    n = 10**7
+    W = to_relative(gnkl(n, 0, 1).word, n)
+    start = time.perf_counter()
+    assert [r.f for r in valid_retractions(W, n)] == [0]
+    assert time.perf_counter() - start < 1.0  # a scan over every f takes seconds
 
 
 # -- the rewriting process -------------------------------------------------------
