@@ -158,6 +158,6 @@ def verify_n18_evidence() -> N18Evidence:
     )
     if not (full.complete and over_b.complete):
         raise EnumerationIncomplete("K enumeration did not complete", None)
-    perm = generator_permutation(over_b, "b")
-    fixed = sum(1 for i, img in enumerate(perm) if i == img)
+    # b^6 = 1, so every cycle length of b divides 6
+    fixed = orbit_report(over_b, "b", 6).fixed_counts[1]
     return N18Evidence(full.count, over_b.count, fixed)

@@ -65,12 +65,12 @@ and X = b^d Y by composition, with entry 0 still meaning undefined, so
 the one finish below serves both forms.
 
 The table is stored column-major: one list per generator and inverse
-column, indexed by coset, beside the union-find list.  Defining a coset
-appends an empty entry to each column, and compression rewrites the
-columns in place.  One scan routine serves every pass: it runs a list
-of words from one coset, filling gaps with new cosets in HLT and
-subgroup scans and only applying deductions and coincidences in
-lookahead, with definitions and merges done inline.
+column, indexed by coset, beside the union-find list.  Scans and HLT's
+row fill define cosets through one routine, which appends an empty
+entry to each column, and compression rewrites the columns in place.
+One scan routine serves every pass: it runs a list of words from one
+coset, filling gaps with new cosets in HLT and subgroup scans and only
+applying deductions and coincidences in lookahead.
 
 A complete table is finished in one pass over the live rows: starting
 at coset 1, cosets are numbered in first-visit order, scanning columns
@@ -104,6 +104,7 @@ presentation together, may spell out at most ``MAX_WORD_LENGTH`` letters.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
 from math import gcd
@@ -302,12 +303,12 @@ class _Enumerator:
 
     The table is column-major: ``cols[c][a]`` is the image of coset a
     under column c, ``pairs[c]`` is column c with its inverse column, and
-    ``p`` is the union-find over coset numbers, so the table holds
-    ``len(p) - 1`` cosets.  Outside a coincidence, live rows hold only
-    live cosets: dead rows stay until ``_compress``, but every entry
-    pointing at a dead coset has been cleared.  A word to scan is held
-    as the columns it reads forwards and the inverse columns it reads
-    backwards; ``_compress`` keeps the column lists, so these stay valid.
+    ``p`` is the union-find over coset numbers; ``_define`` alone grows
+    them.  Outside a coincidence, live rows hold only live cosets: dead
+    rows stay until ``_compress``, but every entry pointing at a dead
+    coset has been cleared.  A word to scan is held as the columns it
+    reads forwards and the inverse columns it reads backwards;
+    ``_compress`` keeps the column lists, so these stay valid.
 
     The power relators g^m come as a list of their own, ``powers``, and
     the other relators as ``rels``.  Each HLT pass keeps one record per
@@ -388,6 +389,16 @@ class _Enumerator:
                     p[t] = mu
                     q.append(t)
 
+    def _define(self, col: List[int], inv: List[int], f: int):
+        """Define coset n = col[f] (inv[n] = f), or raise ``_TableFull`` at the cap."""
+        n = len(self.p)
+        if n > self.max:
+            raise _TableFull
+        for column in self.cols:
+            column.append(0)
+        self.p.append(n)
+        col[f], inv[n] = n, f
+
     def _scan(self, a: int, words, fill: bool):
         """Scan each word (as ``_reads`` gives it) from coset a, until a dies.
 
@@ -395,7 +406,7 @@ class _Enumerator:
         entry short applies it as a deduction.  A longer gap is filled
         with new cosets when ``fill`` is set and left open otherwise.
         """
-        cols, p, cap = self.cols, self.p, self.max
+        p = self.p
         for fwd, back in words:
             if p[a] != a:
                 return
@@ -424,21 +435,14 @@ class _Enumerator:
                     fwd[i][f] = b
                     back[i][b] = f
                 elif fill:
-                    n = len(p)
-                    if n > cap:
-                        raise _TableFull
-                    for col in cols:
-                        col.append(0)
-                    p.append(n)
-                    fwd[i][f] = n
-                    back[i][n] = f
+                    self._define(fwd[i], back[i], f)
                     continue
                 break
 
     def run(self) -> bool:
         """Enumerate by HLT with lookahead; False when the cap was hit."""
         start = 1  # live cosets below start have every relator closed, rows full
-        cols, p, rels = self.cols, self.p, self.rels
+        p, rels = self.p, self.rels
         while True:
             a = start
             # one record per power relator g^m: its scan, g's column and the
@@ -465,14 +469,7 @@ class _Enumerator:
                     if p[a] == a:
                         for col, inv in self.pairs:
                             if not col[a]:
-                                n = len(p)
-                                if n > self.max:
-                                    raise _TableFull
-                                for column in cols:
-                                    column.append(0)
-                                p.append(n)
-                                col[a] = n
-                                inv[n] = a
+                                self._define(col, inv, a)
                     a += 1
                 return True
             except _TableFull:
@@ -492,15 +489,13 @@ class _Enumerator:
         for a in range(start, len(p)):
             if p[a] == a:
                 self._scan(a, words, False)
-        resume = 1 + sum(1 for b in range(1, start) if p[b] == b)
-        self._compress()
-        live = len(p) - 1
-        if live < self.max and before - live >= max(1, self.max // 100):
-            return resume
+        live = self._compress()
+        if len(live) < self.max and before - len(live) >= max(1, self.max // 100):
+            return 1 + bisect_left(live, start)
         return 0
 
-    def _compress(self):
-        """Drop the dead rows and renumber the live cosets in order."""
+    def _compress(self) -> List[int]:
+        """Drop dead rows, renumber live cosets in order; return their old numbers."""
         p = self.p
         live = [a for a in range(1, len(p)) if p[a] == a]
         remap = [0] * len(p)
@@ -510,6 +505,7 @@ class _Enumerator:
             col[1:] = [remap[col[a]] for a in live]
         self.dropped += len(p) - 1 - len(live)
         p[:] = range(len(live) + 1)
+        return live
 
     def rows(self, complete: bool) -> Tuple[Tuple[int, ...], ...]:
         """The finished table as 0-based rows, -1 for an undefined entry.
@@ -637,10 +633,10 @@ def relabel(pres: FinitePresentation):
     d every run's length is concave in d, and the d tried reach the least
     length for each beta.  The fewest letters win; ties go to the
     caller's form, then to the least beta, then to the least d tried, in
-    (-m/2, m/2].  A beta is tried only when it keeps the first run the d
-    does not zero within the best length so far (``_units_near``), so the
-    search costs about that length, not m.  A subgroup generator g^e
-    becomes b^{gcd(e, m)}, which generates the same subgroup.
+    (-m/2, m/2].  The betas come by ascending length r of the first run
+    the d does not zero (``_units_near``) and stop at the first r above
+    the best so far, so the search costs about the best length, not m.
+    A subgroup generator g^e becomes b^{gcd(e, m)}, of the same subgroup.
     Applying ``relabel`` to the form returned gives it back unchanged.
     """
     powers, rels = _reduce_powers(pres.relators)
@@ -665,8 +661,10 @@ def relabel(pres: FinitePresentation):
     # each run (p, c) becomes beta q for a fixed q = p - c c' p'
     for p2, c2 in [(0, 0)] + [(p, c) for p, c in runs if c]:
         q = next((q for q in ((p - c * c2 * p2) % m for p, c in runs) if q), 0)
-        # a beta that ties or beats the best keeps beta q that close to 0 mod m
-        for beta in _units_near(q, best[0], m) if q else [1]:
+        # the run beta q alone spells r letters: past the best, none can tie
+        for r, beta in _units_near(q, m) if q else [(0, 1)]:
+            if r > best[0]:
+                break
             d = _reduced(-c2 * beta * p2, m)
             best = min(best, (letters(beta, d), (beta, d) != (1, 0), beta, d))
     _, moved, beta, d = best
@@ -683,35 +681,36 @@ def relabel(pres: FinitePresentation):
     return powers, tuple(relators), subgroup, g, beta, d
 
 
-def _units_near(q: int, bound: int, m: int) -> List[int]:
-    """The units beta <= m/2 mod m with beta q within ``bound`` of a multiple of m.
+def _units_near(q: int, m: int) -> Iterable[Tuple[int, int]]:
+    """(r, beta) for the units beta <= m/2, by ascending r = |beta q mod m|, q != 0.
 
-    Each residue r = beta q (mod m) with 0 < |r| <= bound that gcd(q, m)
-    divides is solved for beta, so the work is about 2 * bound, not m.
+    Each r that gcd(q, m) divides is solved for beta (twice when 2r = m),
+    so the first r above a bound comes after about 2 * bound steps, not m.
     """
     g = gcd(q, m)
-    step = m // g
+    step, half = m // g, m // 2
     inv = pow(q // g, -1, step)
-    out = set()
-    for r in range(g, min(bound, m // 2) + 1, g):
+    for r in range(g, half + 1, g):
         for start in (r // g * inv % step, -r // g * inv % step):
-            out.update(b for b in range(start, m // 2 + 1, step) if gcd(b, m) == 1)
-    return sorted(out)
+            for beta in range(start, half + 1, step):
+                if gcd(beta, m) == 1:
+                    yield r, beta
 
 
 def _syllables(word: WordInts, x: int) -> List[Tuple[int, int, int]]:
     """A relator's cyclic syllables x^s g^p, as (s, p, c), from its first x.
 
     c = [next s = -1] - [s = +1] is how far the run p moves per unit of d
-    when x = y b^{-d}.
+    when x = y b^{-d}.  A g-run is counted whole, not letter by letter.
     """
-    first = next(j for j, c in enumerate(word) if abs(c) == x)
+    first = min(word.index(c) for c in (x, -x) if c in word)
     out: List[List[int]] = []
-    for c in word[first:] + word[:first]:
-        if abs(c) == x:
-            out.append([1 if c > 0 else -1, 0])
+    for g, run in groupby(word[first:] + word[:first], key=abs):
+        run = tuple(run)
+        if g == x:
+            out += [[1 if c > 0 else -1, 0] for c in run]
         else:
-            out[-1][1] += 1 if c > 0 else -1
+            out[-1][1] = len(run) - 2 * run.count(-g)
     return [
         (s, p, (out[(j + 1) % len(out)][0] == -1) - (s == 1))
         for j, (s, p) in enumerate(out)

@@ -1,3 +1,6 @@
+import hashlib
+import random
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -715,3 +718,43 @@ def test_a_relabelled_form_is_already_shortened():
                         assert _reduce_powers(powers + relators) == (powers, relators)
                         moved += 1
     assert moved > 0
+
+
+# -- relabel pinned: every form, and the three-syllable search at n = 10^6 ------
+
+RELABEL_DIGEST = "a2a98815080e614b904c7864c581aa16cfa8720f6b8951ec7d3123202ec61903"
+
+
+def relabel_digest_cases():
+    """Every extension with 2 <= n <= 24, then 2,000 random two-generator cases."""
+    for n in range(2, 25):
+        for k in range(n):
+            for l in range(n):
+                yield extension(n, k, l)
+    rng = random.Random(14)
+    for _ in range(2000):
+        n = rng.randint(2, 200)
+        text = " ".join(
+            f"{rng.choice('xX')} a^{rng.randint(-n, n)}"
+            for _ in range(rng.randint(1, 6))
+        )
+        sub = ((1,),) if rng.random() < 0.7 else ((1, 1),)
+        yield replace(lift(RelativeWord.from_text(text), n), subgroup=sub)
+
+
+def test_relabel_digest():
+    records = [repr(relabel(pres)) for pres in relabel_digest_cases()]
+    assert len(records) == 6899
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == RELABEL_DIGEST
+
+
+def test_relabel_of_a_triple_no_relabelling_shortens_is_fast():
+    # a "neither B nor C" triple: the best length stays about n / 2 for
+    # long, so the beta walk must stop on the best found so far
+    pres = extension(10**6, 300001, 700003)
+    t0 = time.perf_counter()
+    _, _, _, power, beta, d = relabel(pres)
+    elapsed = time.perf_counter() - t0
+    assert (power, beta, d) == (1, 259997, 320009)
+    assert elapsed < 2.0

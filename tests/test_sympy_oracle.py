@@ -12,16 +12,21 @@ skipped when sympy is not installed.
 
 The cases are the 45 finite extensions E = (a, x : a^n, x a^k x a^{l-k}
 x a^{-l}) with n <= 5 over <a>, as ``shift_orbits`` enumerates them, and
-the n = 18 evidence group K = (b, u : b^6, u u b^3 u b^2) over <b>.
-sympy is about a hundred times slower, so the cases stay small.
+the n = 18 evidence group K = (b, u : b^6, u u b^3 u b^2) over <b>,
+and random presentations (a, b : a^m, W [, V]) with short W and V, the
+relators sometimes listed in reverse, over the trivial subgroup, <a>,
+<a^2> or <b>: these reach the forms ``relabel`` moves with mixed signs
+and subgroups other than <a>, and power relators listed last.  sympy is
+about a hundred times slower, so the cases stay small.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
 
 from cycpres.cyclic import gnkl
-from cycpres.enumerate import parse_presentation, todd_coxeter
+from cycpres.enumerate import FinitePresentation, parse_presentation, todd_coxeter
 from cycpres.relative import lift, to_relative
 from cycpres.taxonomy import classify
 
@@ -83,3 +88,46 @@ def test_k_rows_match_sympy():
         [lambda b, u: b],
     )
     assert table.rows == expected
+
+
+def random_presentations(seed, count):
+    """(a, b : a^m, W [, V]) over one of 1, <a>, <a^2>, <b>, with a coset cap."""
+    rng = random.Random(seed)
+    letters = (1, -1, 2, -2)
+    subgroups = ((), ((1,),), ((1, 1),), ((2,),))
+    for _ in range(count):
+        relators = [(1,) * rng.randint(1, 7)]
+        for _ in range(2 if rng.random() < 0.3 else 1):
+            relators.append(tuple(rng.choices(letters, k=rng.randint(1, 8))))
+        if rng.random() < 0.3:
+            relators.reverse()
+        pres = FinitePresentation(("a", "b"), tuple(relators), rng.choice(subgroups))
+        yield pres, rng.randint(200, 2000)
+
+
+def spelled(word):
+    """One of our words as a function of sympy's generators."""
+
+    def element(*gens):
+        out = gens[0] ** 0
+        for c in word:
+            out *= gens[abs(c) - 1] ** (1 if c > 0 else -1)
+        return out
+
+    return element
+
+
+def test_random_presentations_match_sympy():
+    complete = 0
+    for pres, cap in random_presentations(14, 90):
+        table = todd_coxeter(pres, max_cosets=cap)
+        if not table.complete:
+            continue
+        complete += 1
+        expected = sympy_rows(
+            "a, b",
+            [spelled(r) for r in pres.relators],
+            [spelled(s) for s in pres.subgroup],
+        )
+        assert table.rows == expected, pres
+    assert complete >= 60
