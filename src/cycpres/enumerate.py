@@ -26,8 +26,24 @@ spent reaching them.  Completed tables are audited against the caller's
 relators, never the shortened ones.
 
 The power relators kept go to HLT as a list of their own, and are
-scanned at each coset before the others, short relators first.  In
-place of the other relators HLT scans cyclic conjugates
+scanned at each coset before the others, for deductions and
+coincidences only.  Filling the gap in g^m would define up to m - 1
+cosets that the other relators' scans often merge again, so the
+g-cycles grow instead one coset at a time, through the row fill of each
+coset HLT processes.  A scan of g^m that walked more letters than the
+scans of the other relators read fills its gap all the same: left open,
+that long g-path would be walked again from every coset on it, and
+(a : a^10000) would take time quadratic in m.  When the scan of g^m
+leaves a coset alive with nothing open, its g-cycle is closed, so one
+walk along it records the other cosets on it, and those are not
+scanned for g^m, since a closed path stays closed under definitions and
+coincidences.  Nor is a coset with no g entry either way when m > 1,
+where the scan would change nothing.  Once every live row is full, one
+sweep scans each power relator at every live coset not yet recorded;
+it defines nothing, since rows are full, but it may merge cosets, and
+only after it is the table complete.
+
+In place of the other relators HLT scans cyclic conjugates
 (``_scan_list``): each becomes its distinct rotations that begin at a
 letter of a generator with no power relator, such as the three
 rotations of ``x a^k x a^{l-k} x a^{-l}`` that begin at an x.  Cyclic
@@ -36,16 +52,12 @@ changes: a deduction that a rotation gives at once no longer waits for
 the scan from the relator's first letter.  After a lookahead pass, HLT
 resumes at the first live coset at or after the one it was working on,
 and the lookahead pass starts there too.  Every live coset below that
-point has every relator closed and a full row, and coincidences keep
-both, so scanning those cosets again would define and merge nothing.
-For the same reason HLT scans a power relator g^m once per g-cycle, not
-once per coset: when the scan of g^m leaves a coset alive, its g-cycle
-is closed, so one walk along it records the other cosets on it, and those
-are scanned without g^m, whose scan there would walk a closed path and
-change nothing.  Each HLT pass starts with no records, since a
-lookahead pass renumbers the cosets.  Lookahead scans every power
-relator and the whole list at every coset: there most g-paths are still
-open, and walking them cost more than the scans it saved.
+point has a full row and the other relators closed, and coincidences
+keep both, so scanning those relators there again would define and
+merge nothing; the power relators there are left to the final sweep.
+Lookahead scans power relators without filling and skips the cosets
+HLT has recorded, since numbering does not change until it compresses;
+each HLT pass after it starts with no records.
 
 Before any of that, ``relabel`` picks new generators for presentations
 on two generators g and x in which g alone has a power relator g^m,
@@ -314,12 +326,18 @@ class _Enumerator:
     the other relators as ``rels``.  Each HLT pass keeps one record per
     power relator, the cosets whose g-cycle is known closed (a g^m = a).
     At each live coset it scans the power relators whose records do not
-    hold it, walking the g-cycle that each such scan leaves closed into
-    the record, and then ``rels``.  A closed path stays closed under
-    definitions and coincidences, so a record stays true.
+    hold it with ``_scan_power``, which fills a gap only past a walk of
+    ``reach`` letters, and then ``rels``, filling their gaps; the row
+    fill then grows the g-cycles.  A closed path stays closed under
+    definitions and coincidences, so a record stays true.  Below
+    ``start`` every live row is full and has ``rels`` closed; a final
+    sweep of ``_scan_power`` at every live coset proves the power
+    relators closed.
     """
 
-    __slots__ = ("max", "cols", "pairs", "powers", "rels", "subs", "p", "dropped")
+    __slots__ = (
+        "max", "cols", "pairs", "powers", "rels", "subs", "reach", "p", "dropped"
+    )
 
     def __init__(
         self,
@@ -336,6 +354,7 @@ class _Enumerator:
         self.powers = [tuple(c * len(w) for c in self._reads(w[:1])) for w in powers]
         self.rels = [self._reads(w) for w in relators]
         self.subs = [self._reads(w) for w in subgroup]
+        self.reach = sum(len(fwd) for fwd, _ in self.rels)  # letters rels read
         self.p = [0, 1]
         self.dropped = 0  # dead rows removed by compressions
 
@@ -405,11 +424,13 @@ class _Enumerator:
         A scan that closes applies its coincidence, and one that is one
         entry short applies it as a deduction.  A longer gap is filled
         with new cosets when ``fill`` is set and left open otherwise.
+        Returns the gap j - i + 1 of the last word left open, or 0 if none was.
         """
         p = self.p
+        gap = 0
         for fwd, back in words:
             if p[a] != a:
-                return
+                return gap
             i, j = 0, len(fwd) - 1
             f = b = a
             while True:
@@ -437,58 +458,88 @@ class _Enumerator:
                 elif fill:
                     self._define(fwd[i], back[i], f)
                     continue
+                else:
+                    gap = j - i + 1
                 break
+        return gap
+
+    def _scan_power(self, a: int, w, record, fill: bool):
+        """Scan the power relator g^m, as ``(reads,)``, from live coset a.
+
+        The scan defines nothing unless ``fill`` is set and it walked
+        more letters than the scan of ``rels`` holds; then it fills the
+        gap, since a long open g-path left open would be walked again
+        from every coset on it.  When g^m closes at a and a lives, a's
+        g-cycle is closed and the other cosets on it go into ``record``.
+        """
+        gap = self._scan(a, w, False)
+        if gap:
+            if not fill or len(w[0][0]) - gap <= self.reach:
+                return
+            self._scan(a, w, True)
+        if self.p[a] == a:
+            col = w[0][0][0]
+            add = record.add
+            c = col[a]
+            while c != a:
+                add(c)
+                c = col[c]
 
     def run(self) -> bool:
         """Enumerate by HLT with lookahead; False when the cap was hit."""
-        start = 1  # live cosets below start have every relator closed, rows full
+        start = 1  # live cosets below start have rels closed and full rows
         p, rels = self.p, self.rels
         while True:
             a = start
-            # one record per power relator g^m: its scan, g's column and the
-            # cosets whose g-cycle is known closed, so g^m is not scanned there
-            records = [((w,), w[0][0], set()) for w in self.powers]
+            # per power relator g^m: its scan, g's two columns, whether a
+            # coset with neither entry skips it (m > 1, where the scan
+            # would change nothing) and the cosets whose g-cycle is closed
+            records = [
+                ((w,), w[0][0], w[1][0], len(w[0]) > 1, set()) for w in self.powers
+            ]
             try:
                 if start == 1:
                     self._scan(1, self.subs, True)
                 while a < len(p):
                     if p[a] == a:
-                        for power, col, record in records:
-                            if a in record:
-                                continue
-                            self._scan(a, power, True)
-                            if p[a] == a:
-                                # the scan closed g^m at a: a g^m = a, and g^m
-                                # would change nothing on the rest of a's cycle
-                                add = record.add
-                                c = col[a]
-                                while c != a:
-                                    add(c)
-                                    c = col[c]
+                        for w, col, inv, skip_bare, record in records:
+                            if a not in record and (col[a] or inv[a] or not skip_bare):
+                                self._scan_power(a, w, record, True)
                         self._scan(a, rels, True)
                     if p[a] == a:
                         for col, inv in self.pairs:
                             if not col[a]:
                                 self._define(col, inv, a)
                     a += 1
-                return True
             except _TableFull:
-                start = self._lookahead(a)
+                start = self._lookahead(a, records)
                 if not start:
                     return False
+                continue
+            # every live row is full and has rels closed; the power relators
+            # left open are closed, or their cosets merged, here
+            for w, _, _, _, record in records:
+                for a in range(1, len(p)):
+                    if p[a] == a and a not in record:
+                        self._scan_power(a, w, record, False)
+            return True
 
-    def _lookahead(self, start: int) -> int:
+    def _lookahead(self, start: int, records) -> int:
         """Scan from ``start`` without defining, then compress the table.
 
-        Returns where HLT resumes, the renumbered first live coset at or
-        after ``start``, or 0 when the pass freed too little to go on.
+        Power relators are skipped where ``records``, HLT's records of
+        closed g-cycles, hold the coset.  Returns where HLT resumes, the
+        renumbered first live coset at or after ``start``, or 0 when the
+        pass freed too little to go on.
         """
-        p = self.p
+        p, rels = self.p, self.rels
         before = sum(1 for a in range(1, len(p)) if p[a] == a)
-        words = self.powers + self.rels
         for a in range(start, len(p)):
             if p[a] == a:
-                self._scan(a, words, False)
+                for w, col, inv, skip_bare, record in records:
+                    if a not in record and (col[a] or inv[a] or not skip_bare):
+                        self._scan_power(a, w, record, False)
+                self._scan(a, rels, False)
         live = self._compress()
         if len(live) < self.max and before - len(live) >= max(1, self.max // 100):
             return 1 + bisect_left(live, start)

@@ -142,9 +142,16 @@ class RestartEnumerator:
     A list of rows and a union-find, as the library enumerator stored
     its table before it went column-major, with lookahead and the HLT
     pass after it both restarting at coset 1 where the library resumes
-    at the first live coset not yet closed.  The library must reach the
-    same table with the same number of definitions, since the cosets
-    below that point have every relator closed and a full row.
+    at the first live coset not yet processed.  Power relators are scanned
+    first at every coset, without defining unless the scan walked more
+    letters than the other relators hold, and are not skipped on closed
+    cycles; once every row is full, one sweep scans each power relator at
+    every live coset, and ``swept`` counts the cosets that sweep merged.
+    Without lookahead the library must reach the same table with the same
+    number of definitions.  After one it may not in general: a restart
+    scans the power relators below the resume point again, where the
+    library leaves them to its final sweep.  The tests pin cases where
+    the two still agree.
     """
 
     def __init__(self, pres, max_cosets):
@@ -154,12 +161,14 @@ class RestartEnumerator:
         self.ncols = 2 * len(pres.generators)
         self.max = max_cosets
         powers, others = _reduce_powers(pres.relators)
-        self.rels = [columns(w) for w in powers + _scan_list(powers, others)]
+        self.powers = [columns(w) for w in powers]
+        self.rels = [columns(w) for w in _scan_list(powers, others)]
+        self.reach = sum(map(len, self.rels))
         self.subs = [columns(w) for w in pres.subgroup]
         self.tbl = [[], [0] * self.ncols]
         self.p = [0, 1]
         self.live = self.defined = 1
-        self.lookaheads = 0
+        self.lookaheads = self.swept = 0
 
     def rep(self, k):
         while self.p[k] != k:
@@ -201,6 +210,7 @@ class RestartEnumerator:
         self.defined += 1
 
     def scan(self, a, w, fill):
+        """Scan w from a; the number of entries left open (0 if none)."""
         tbl = self.tbl
         i, j, f, b = 0, len(w) - 1, a, a
         while True:
@@ -209,7 +219,7 @@ class RestartEnumerator:
             if i > j:
                 if f != b:
                     self.coincide(f, b)
-                return
+                return 0
             while j >= i and tbl[b][w[j] ^ 1]:
                 b, j = tbl[b][w[j] ^ 1], j - 1
             if j < i:
@@ -219,7 +229,14 @@ class RestartEnumerator:
             elif fill:
                 self.define(f, w[i])
                 continue
-            return
+            else:
+                return j - i + 1
+            return 0
+
+    def scan_power(self, a, w, fill):
+        gap = self.scan(a, w, False)
+        if gap and fill and len(w) - gap > self.reach:
+            self.scan(a, w, True)
 
     def run(self):
         while True:
@@ -228,6 +245,9 @@ class RestartEnumerator:
                     self.scan(1, w, True)
                 a = 1
                 while a < len(self.tbl):
+                    for w in self.powers:
+                        if self.p[a] == a:
+                            self.scan_power(a, w, True)
                     for w in self.rels:
                         if self.p[a] == a:
                             self.scan(a, w, True)
@@ -235,6 +255,12 @@ class RestartEnumerator:
                         if self.p[a] == a and not self.tbl[a][c]:
                             self.define(a, c)
                     a += 1
+                before = self.live
+                for w in self.powers:
+                    for a in range(1, len(self.tbl)):
+                        if self.p[a] == a:
+                            self.scan(a, w, False)
+                self.swept = before - self.live
                 return True
             except TableFull:
                 if not self.lookahead():
@@ -244,7 +270,7 @@ class RestartEnumerator:
         self.lookaheads += 1
         before = self.live
         for a in range(1, len(self.tbl)):
-            for w in self.rels:
+            for w in self.powers + self.rels:
                 if self.p[a] == a:
                     self.scan(a, w, False)
         live = [a for a in range(1, len(self.tbl)) if self.p[a] == a]

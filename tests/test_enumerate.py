@@ -417,8 +417,16 @@ def test_g12_8_5_extension_work():
     t = todd_coxeter(extension(12, 8, 5))
     assert t.count == 4095
     # 122,542 with a-exponents as lift writes them, 64,851 scanning W
-    # from its first letter only, 34,289 without relabelling
-    assert t.defined <= 10_000
+    # from its first letter only, 34,289 without relabelling, 8,098
+    # filling a^12 at each coset
+    assert t.defined <= 5_000
+
+
+def test_g15_1_6_extension_work():
+    t = todd_coxeter(extension(15, 1, 6))
+    assert t.count == 32769
+    # 103,688 filling a^15 at each coset, 1,027,521 without relabelling
+    assert t.defined <= 45_000
 
 
 def test_table_memory_of_a_large_extension():
@@ -585,23 +593,26 @@ def test_relabelling_a_relabelled_presentation_changes_nothing():
     assert moved > 0
 
 
-RESUME_CASES = [
-    # finite "C without A" triples that reach a 3,000-row cap
-    (10, 0, 1), (10, 3, 0), (11, 0, 9), (11, 2, 2), (11, 4, 4), (12, 0, 1),
-    (12, 8, 5), (12, 11, 11),
+RESUME_CASES = {
+    # finite "C without A" triples, each capped to need a lookahead:
+    # (10,3,0), (11,2,2) and (11,4,4) complete after one, the other three
+    # overflow; at 3,000 the n = 10 and 11 triples complete without one
+    (10, 0, 1): 1050, (10, 3, 0): 1100, (11, 0, 9): 2200, (11, 2, 2): 2200,
+    (11, 4, 4): 2200, (12, 0, 1): 3000, (12, 8, 5): 3000, (12, 11, 11): 3000,
     # infinite triples: the n = 18 family, gcd > 1, B with 3 | n, neither
-    (18, 14, 7), (14, 10, 12), (15, 2, 4), (9, 8, 4), (16, 12, 8),
-]
+    (18, 14, 7): 3000, (14, 10, 12): 3000, (15, 2, 4): 3000, (9, 8, 4): 3000,
+    (16, 12, 8): 3000,
+}
 
 
 def test_resume_after_lookahead_matches_restart():
     lookaheads = 0
     statuses = set()
-    for t in RESUME_CASES:
+    for t, cap in RESUME_CASES.items():
         # relabelling is idempotent, so both enumerate this form as given
         pres = relabelled(extension(*t))
-        got = todd_coxeter(pres, max_cosets=3000)
-        ref = RestartEnumerator(pres, 3000)
+        got = todd_coxeter(pres, max_cosets=cap)
+        ref = RestartEnumerator(pres, cap)
         assert (got.status, got.defined, got.rows) == ref.table(), t
         lookaheads += ref.lookaheads
         statuses.add(got.status)
@@ -673,6 +684,47 @@ def test_skipping_closed_power_cycles_matches_restart_on_small_triples():
                     assert (got.status, got.defined, got.rows) == ref, (n, k, l)
                     count += 1
     assert count == 177
+
+
+# -- power relators scanned for deductions, closed by a final sweep ------------
+
+@pytest.mark.parametrize(
+    "rels, sub, defined",
+    [
+        (("a^4", "A B", "b^5"), ("a^2",), 3),
+        # the sweep merges 83 cosets here
+        (("b^5", "A B B A b", "a^9"), ("b",), 254),
+    ],
+    ids=["a^4 b^5 over <a^2>", "b^5 a^9 over <b>"],
+)
+def test_closing_sweep_merges_what_lazy_power_scans_left(rels, sub, defined):
+    # index 1 in both; HLT ends with every row full but a power relator
+    # open somewhere, and only the sweep's merges reach the index
+    pres = FinitePresentation.make(("a", "b"), rels, sub)
+    t = todd_coxeter(pres)
+    assert (t.status, t.count, t.defined) == ("complete", 1, defined)
+    ref = RestartEnumerator(pres, 1_000_000)
+    assert (t.status, t.defined, t.rows) == ref.table()
+    assert ref.swept > 0
+
+
+@pytest.mark.parametrize(
+    "pres, index",
+    [
+        (cyclic_pres(10_000), 10_000),
+        (FinitePresentation.make(("a", "b"), ("a^10000", "b^2", "a b A b")), 20_000),
+    ],
+    ids=["cyclic", "dihedral"],
+)
+def test_long_power_relators_are_filled_once_their_paths_are_long(pres, index):
+    # a power scan that walked more letters than the other relators hold
+    # fills its gap; left open, a^10000 would be walked again from every
+    # coset on its path (2.3 s and 6.0 s, against about 0.04 and 0.14 s)
+    t0 = time.perf_counter()
+    t = todd_coxeter(pres)
+    assert time.perf_counter() - t0 < 0.5
+    assert t.complete and t.count == index
+    assert t.defined <= index + 10
 
 
 @pytest.mark.parametrize("gen", [0, 1], ids=["a", "x"])
