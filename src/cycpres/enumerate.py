@@ -15,10 +15,11 @@ result does not depend on how the enumeration went.
 
 Before HLT runs, relators are shortened modulo the power relators
 among them (``_reduce_powers``, the one place that decides a relator is
-a power).  For each generator g, the shortest relator of the form g^m
-(or G^m) is kept as a power relator, and in every other relator each
-maximal run of g and G is replaced by g^e with its net exponent e
-reduced into (-m/2, m/2] (so ``a^{n-1}`` becomes ``A`` given ``a^n``).
+a power).  For each generator g, the shortest relator that freely
+reduces to g^m (or G^m) is kept as a power relator, as that reduced
+word, and in every other relator each maximal run of g and G is
+replaced by g^e with its net exponent e reduced into (-m/2, m/2] (so
+``a^{n-1}`` becomes ``A`` given ``a^n``).
 Each such step multiplies a relator by a conjugate of g^{+-m}, which
 leaves the group and the subgroup unchanged; since standardized tables
 are canonical, the tables returned do not change either, only the work
@@ -84,19 +85,26 @@ One scan routine serves every pass: it runs a list of words from one
 coset, filling gaps with new cosets in HLT and subgroup scans and only
 applying deductions and coincidences in lookahead.
 
-A complete table is finished in one pass over the live rows: starting
-at coset 1, cosets are numbered in first-visit order, scanning columns
-in declared order, and the 0-based standardized rows are emitted
-directly, so the rows of dead cosets, which stay in the table until a
-compression, are never visited.  HLT compresses just before it gives
-up, so an overflow table is the live rows as they stand.
-``audit_table`` then checks a complete table a whole column at a time:
-range entries per column, one inverse pass per generator and its
-inverse (G[g[i]] == i makes g a bijection with inverse G), and each
-relator traced from all cosets at once, one list pass per maximal run
-g^e over the column of g^e, built from squares of g's column computed
-at most once per audit.  A failure names the first offending entry in
-row order, or the first coset, as a row by row check would.
+A finished table is built column by column, after the enumerator is
+dropped: once HLT ends, the union-find and the scan lists go, and a
+relabelled run's columns of b and y go as those of g and x are composed.
+A complete table is then standardized straight off the live columns:
+one walk from coset 1 numbers the cosets in first-visit order, reading
+columns in declared order, and each column is then read off in that
+order, replacing its live column, so the rows of dead cosets, which stay
+in the table until a compression, are never visited.  HLT compresses
+just before it gives up, so an overflow table is the live rows as they
+stand, each entry mapped through one shared list of the ints -1 to
+count - 1.  The audit checks a complete table's columns before they are
+zipped into rows, a whole column at a time: range entries per column,
+one inverse pass per generator and its inverse (G[g[i]] == i makes g a
+bijection with inverse G), and each relator traced from all cosets at
+once, one list pass per maximal run g^e over the column of g^e, built by
+repeated squaring that keeps no square past the run.  The first inverse
+pass is the identity column, made of the table's own ints, so no list of
+new ints is built to compare with.  ``audit_table`` transposes a table's
+rows into the same column check.  A failure names the first offending
+entry in row order, or the first coset, as a row by row check would.
 
 Presentation text format::
 
@@ -118,8 +126,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice
 from math import gcd
+from operator import ne
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 WordInts = Tuple[int, ...]  # letters as nonzero signed 1-based generator numbers
@@ -558,31 +567,6 @@ class _Enumerator:
         p[:] = range(len(live) + 1)
         return live
 
-    def rows(self, complete: bool) -> Tuple[Tuple[int, ...], ...]:
-        """The finished table as 0-based rows, -1 for an undefined entry.
-
-        A complete table is standardized straight off the live rows, so
-        dead rows are never visited.  An overflow run has just
-        compressed its table, so its rows are the live rows.
-        """
-        cols = self.cols
-        if not complete:
-            return tuple(zip(*[[e - 1 for e in col[1:]] for col in cols]))
-        label = [-1] * len(self.p)
-        label[1] = 0
-        order = [1]
-        flat: List[int] = []
-        push = flat.append
-        for a in order:
-            for col in cols:
-                e = col[a]
-                b = label[e]
-                if b < 0:
-                    b = label[e] = len(order)
-                    order.append(e)
-                push(b)
-        return tuple(zip(*[iter(flat)] * len(cols)))
-
 
 def _reduced(e: int, m: int) -> int:
     """e modulo m, reduced into (-m/2, m/2]."""
@@ -596,24 +580,29 @@ def _reduce_powers(
     """Shorten relators modulo the power relators among them.
 
     Returns (powers, others).  For each generator g, the shortest relator
-    that is one letter repeated (g^m or G^m) is kept as written, and
-    ``powers`` holds these in relator order.  ``others`` holds every
-    other relator, each maximal run of g and G in it replaced by g^e,
-    with its net exponent e reduced into (-m/2, m/2]; runs and relators
-    that vanish are dropped.  Every step multiplies a relator by a
-    conjugate of g^m or G^m, so the presented group is unchanged.  A
-    longer power of a generator that has one stays in ``others``: given
-    a^4, a^6 becomes a^2.
+    that freely reduces to one letter repeated (g^m or G^m) is kept as
+    that reduced word, since the enumerator reads a power from its first
+    letter, and ``powers`` holds these in relator order.  ``others``
+    holds every other relator, each maximal run of g and G in it
+    replaced by g^e, with its net exponent e reduced into (-m/2, m/2];
+    runs and relators that vanish are dropped.  Every step multiplies a
+    relator by a conjugate of g^m or G^m, so the presented group is
+    unchanged.  A longer power of a generator that has one stays in
+    ``others``: given a^4, a^6 becomes a^2.
     """
-    shortest: Dict[int, int] = {}  # generator -> index of its power relator
+    shortest: Dict[int, Tuple[int, WordInts]] = {}  # generator -> (index, power)
     for i, w in enumerate(relators):
+        if w.count(w[0]) != len(w):
+            runs = _free_runs(w)
+            if len(runs) != 1:
+                continue
+            g, e = runs[0]
+            w = (g if e > 0 else -g,) * abs(e)
         g = abs(w[0])
-        if w.count(w[0]) == len(w) and (
-            g not in shortest or len(w) < len(relators[shortest[g]])
-        ):
-            shortest[g] = i
-    period = {g: len(relators[i]) for g, i in shortest.items()}
-    kept = set(shortest.values())
+        if g not in shortest or len(w) < len(shortest[g][1]):
+            shortest[g] = (i, w)
+    period = {g: len(w) for g, (_, w) in shortest.items()}
+    kept = {i for i, _ in shortest.values()}
     others: List[WordInts] = []
     for i, w in enumerate(relators):
         if i in kept:
@@ -629,7 +618,24 @@ def _reduce_powers(
             rel.extend([g] * e if e > 0 else [-g] * -e)
         if rel:
             others.append(tuple(rel))
-    return tuple(relators[i] for i in sorted(kept)), tuple(others)
+    return tuple(w for _, w in sorted(shortest.values())), tuple(others)
+
+
+def _free_runs(word: WordInts) -> List[Tuple[int, int]]:
+    """The freely reduced word as (generator, nonzero exponent) runs.
+
+    Each maximal run of one generator and its inverse counts whole, and
+    a run that cancels lets its neighbours merge.
+    """
+    runs: List[Tuple[int, int]] = []
+    for g, run in groupby(word, key=abs):
+        run = tuple(run)
+        e = len(run) - 2 * run.count(-g)
+        if runs and runs[-1][0] == g:
+            e += runs.pop()[1]
+        if e:
+            runs.append((g, e))
+    return runs
 
 
 def _scan_list(
@@ -688,7 +694,10 @@ def relabel(pres: FinitePresentation):
     the d does not zero (``_units_near``) and stop at the first r above
     the best so far, so the search costs about the best length, not m.
     A subgroup generator g^e becomes b^{gcd(e, m)}, of the same subgroup.
-    Applying ``relabel`` to the form returned gives it back unchanged.
+    Applying ``relabel`` to the form returned gives it back unchanged,
+    unless a relator of that form is a power itself: a rewritten relator
+    with no g left, such as G_3(1,2)'s W becoming y^3, or a power of g
+    left among the others, such as a^2 beside a^4.
     """
     powers, rels = _reduce_powers(pres.relators)
     unchanged = (powers, rels, pres.subgroup, 0, 1, 0)
@@ -768,31 +777,61 @@ def _syllables(word: WordInts, x: int) -> List[Tuple[int, int, int]]:
     ]
 
 
-def _power(squares: List[Sequence[int]], e: int) -> Sequence[int]:
-    """The column of the e-th power of a generator, e >= 1, from its squares.
+def _finish(cols: List[List[int]], complete: bool):
+    """Turn a run's live columns, in place, into the finished table's columns.
 
-    ``squares`` holds the generator's column and then the columns of its
-    2^k-th powers; it is extended as far as e needs, so a caller that
-    keeps it squares each column at most once.  Whole columns are
-    composed; entry 0 is the undefined sentinel and maps to itself, so
-    gaps carry through.
+    Finished columns are 0-based, with -1 for an undefined entry.  A
+    complete table is standardized straight off the live rows: a walk
+    from coset 1 in first-visit order, reading columns in declared
+    order, numbers the cosets, and then each column is read off in that
+    order, so dead rows are never visited.  An overflow run has just
+    compressed its table, so its columns are the live rows, each entry e
+    mapped to e - 1 through one shared list.  Each live column is
+    replaced as its finished column is built, so a caller that holds no
+    other reference to it frees it there.
+    """
+    if complete:
+        label = [-1] * len(cols[0])
+        label[1] = 0
+        order = [1]
+        for a in order:  # order grows while it is walked
+            for col in cols:
+                e = col[a]
+                if label[e] < 0:
+                    label[e] = len(order)
+                    order.append(e)
+        del col  # else the last live column would outlive its replacement
+        for c in range(len(cols)):
+            cols[c] = list(map(label.__getitem__, map(cols[c].__getitem__, order)))
+    else:
+        shifted = list(range(-1, len(cols[0]) - 1))
+        for c in range(len(cols)):
+            cols[c] = list(map(shifted.__getitem__, islice(cols[c], 1, None)))
+
+
+def _power(col: Sequence[int], e: int) -> Sequence[int]:
+    """The column of the e-th power of a generator, e >= 1, from its column.
+
+    Whole columns are composed by repeated squaring, holding only the
+    current square and the product, so a^12 costs four list passes (three
+    squarings, one composition), not eleven.  Entry 0 of a live table is
+    the undefined sentinel and maps to itself, so gaps carry through.
     """
     out = None
-    for k in range(e.bit_length()):
-        if k == len(squares):
-            col = squares[-1]
-            squares.append([col[v] for v in col])
-        if e >> k & 1:
-            col = squares[k]
+    while True:
+        if e & 1:
             out = col if out is None else [col[v] for v in out]
-    return out
+        e >>= 1
+        if not e:
+            return out
+        col = [col[v] for v in col]
 
 
 def _caller_columns(cols: List[List[int]], power: int, beta: int, d: int):
     """The columns of g, G, x, X from those of b, B, y, Y (g = b^beta, x = y b^{-d})."""
     gi = 2 * (power - 1)
     xi = 2 - gi
-    b, B, y, Y = [cols[gi]], [cols[gi + 1]], cols[xi], cols[xi + 1]  # squares of b, B
+    b, B, y, Y = cols[gi], cols[gi + 1], cols[xi], cols[xi + 1]
     out = [[]] * 4
     out[gi], out[gi + 1] = _power(b, beta), _power(B, beta)
     if d:
@@ -818,19 +857,16 @@ def todd_coxeter(pres: FinitePresentation, max_cosets: int = 1_000_000) -> Coset
     scan = _scan_list(powers, relators)
     enum = _Enumerator(len(pres.generators), powers, scan, subgroup, max_cosets)
     complete = enum.run()
+    cols, defined = enum.cols, enum.defined
+    del enum  # the union-find and the scan lists go before the table is finished
     if power:
-        enum.cols = _caller_columns(enum.cols, power, beta, d)
-    rows = enum.rows(complete)
-    table = CosetTable(
-        pres.generators,
-        rows,
-        "complete" if complete else "overflow",
-        len(rows),
-        enum.defined,
-    )
+        cols = _caller_columns(cols, power, beta, d)  # and the b and y columns here
+    _finish(cols, complete)
     if complete:
-        audit_table(table, pres)
-    return table
+        _audit_columns(cols, pres)
+    rows = tuple(zip(*cols))
+    status = "complete" if complete else "overflow"
+    return CosetTable(pres.generators, rows, status, len(rows), defined)
 
 
 def audit_table(table: CosetTable, pres: FinitePresentation):
@@ -838,48 +874,67 @@ def audit_table(table: CosetTable, pres: FinitePresentation):
 
     Checks: every entry defined and in range, generator columns are
     mutually inverse bijections, every relator traces to its starting
-    coset from every coset, and subgroup generators fix coset 0.  The
-    checks run a whole column at a time.  The inverse check takes one
-    pass per generator, G[g[i]] == i: with every entry in range this
-    makes g injective on a finite set, so g is a bijection and G its
-    inverse.  Each relator is traced from all cosets at once, one pass
-    per maximal run g^e, over the column of g^e built from the squares
-    of g's column (each squared at most once per audit): a^12 costs five
-    passes (three squarings, one composition, the trace), not twelve.  A
-    failure names the first offending entry (in row order) or coset.
+    coset from every coset, and subgroup generators fix coset 0.  A
+    table whose rows all have the right width is transposed into its
+    columns and checked by ``_audit_columns``, a whole column at a time,
+    as ``todd_coxeter`` checks the columns it finishes.  A failure names
+    the first offending entry (in row order) or coset.
     """
     if not table.complete:
         raise ValueError("cannot audit an incomplete table")
-    count = table.count
-    ncols = 2 * len(table.generators)
     rows = table.rows
-    if len(rows) != count:
+    if len(rows) != table.count:
         raise ValueError("row count does not match coset count")
-    every = list(range(count))
-    cols = list(zip(*rows)) or [()] * ncols
-    sound = set(map(len, rows)) <= {ncols} and all(
+    ncols = 2 * len(table.generators)
+    if set(map(len, rows)) <= {ncols}:
+        _audit_columns([list(col) for col in zip(*rows)] or [[]] * ncols, pres)
+    else:
+        _raise_first_bad_entry(rows, table.count, ncols)
+
+
+def _audit_columns(cols: List[List[int]], pres: FinitePresentation):
+    """Audit a complete table given as its column lists, all of one length.
+
+    Entries are range checked per column.  The inverse check takes one
+    pass per generator, G[g[i]] == i: with every entry in range this
+    makes g injective on a finite set, so g is a bijection and G its
+    inverse.  The first generator's pass is the identity column, built
+    from the table's own int objects, so the later comparisons with it
+    go by pointer; it alone is checked against a ``range``, and no list
+    of new ints is made.  Each relator is traced from all cosets at
+    once, one pass per maximal run g^e over the column of g^e
+    (``_power``, which keeps no square past the run).  A failure names
+    the first offending entry (in row order) or coset.
+    """
+    count = len(cols[0])
+    in_range = all(
         0 <= min(col, default=0) and max(col, default=0) < count for col in cols
     )
-    # with every entry in range, G[g[i]] == i for every i makes g injective
-    # on a finite set, so g is a bijection and G its inverse: one pass a pair
-    sound = sound and all(
-        [cols[c + 1][e] for e in cols[c]] == every for c in range(0, ncols, 2)
-    )
-    if not sound:
-        _raise_first_bad_entry(rows, count, ncols)
-    squares: Dict[int, List[Sequence[int]]] = {}  # column -> its squares
+    ident = list(map(cols[1].__getitem__, cols[0])) if in_range else []
+    if not (
+        in_range
+        and not any(map(ne, ident, range(count)))
+        and all(
+            list(map(cols[c + 1].__getitem__, cols[c])) == ident
+            for c in range(2, len(cols), 2)
+        )
+    ):
+        _raise_first_bad_entry(tuple(zip(*cols)), count, len(cols))
     for r in pres.relators:
-        cur = every
+        cur = None
         for c, run in groupby(_columns(r)):
-            col = _power(squares.setdefault(c, [cols[c]]), sum(1 for _ in run))
-            cur = [col[i] for i in cur]
-        if cur != every:
-            i = next(i for i in every if cur[i] != i)
+            col = _power(cols[c], sum(1 for _ in run))
+            cur = col if cur is None else [col[i] for i in cur]
+        if cur != ident:
+            i = next(i for i in range(count) if cur[i] != i)
             raise ValueError(
                 f"relator {pres.word_text(r)} does not close at coset {i}"
             )
     for s in pres.subgroup:
-        if table.trace(0, s) != 0:
+        coset = 0
+        for c in _columns(s):
+            coset = cols[c][coset]
+        if coset:
             raise ValueError(
                 f"subgroup generator {pres.word_text(s)} does not fix coset 0"
             )

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -161,7 +162,11 @@ def test_standardized_determinism():
 # -- soundness audit --------------------------------------------------------------
 
 def test_audit_passes_on_completed_tables():
-    for pres in (cyclic_pres(7), dihedral_pres(5), parse_presentation(K_TEXT)):
+    # (a, b : a^3, b) has a one-letter relator, traced as b's column itself
+    one_letter = FinitePresentation.make(("a", "b"), ("a^3", "b"))
+    for pres in (
+        cyclic_pres(7), dihedral_pres(5), parse_presentation(K_TEXT), one_letter
+    ):
         t = todd_coxeter(pres)
         audit_table(t, pres)  # raises on any violation
 
@@ -401,7 +406,7 @@ def test_tables_do_not_depend_on_how_a_exponents_are_written(enumerate_cosets):
 
 def test_audit_checks_the_callers_presentation(monkeypatch):
     seen = []
-    monkeypatch.setattr(enumerate_module, "audit_table", lambda t, p: seen.append(p))
+    monkeypatch.setattr(enumerate_module, "_audit_columns", lambda c, p: seen.append(p))
     pres = FinitePresentation.make(("a", "x"), ("a^5", "x a^4", "x^2"))
     todd_coxeter(pres)
     assert seen == [pres]
@@ -429,18 +434,37 @@ def test_g15_1_6_extension_work():
     assert t.defined <= 45_000
 
 
+def table_bytes(t):
+    """Bytes a table's rows hold: the tuples and each int object not cached."""
+    ints = {id(v): v for row in t.rows for v in row if not -5 <= v <= 256}
+    return (
+        sys.getsizeof(t.rows)
+        + sum(map(sys.getsizeof, t.rows))
+        + sum(map(sys.getsizeof, ints.values()))
+    )
+
+
 def test_table_memory_of_a_large_extension():
-    # relabelled and column-major: 1.7 MiB here; 4.4 MiB enumerating W as
-    # lift writes it, 7.3 MiB with a list per row
-    pres = extension(12, 9, 8)
-    tracemalloc.start()
-    try:
-        t = todd_coxeter(pres)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert t.complete and t.count == 4095
-    assert peak < 3 * 2**20
+    # the traced peak against the bytes the returned rows hold: 1.3x for
+    # G_12(9,8), 1.5x for G_15(1,6) and 2.2x for the overflow table
+    # (0.55, 5.1 and 0.66 MiB).  Finishing into a flat list of every
+    # entry beside the live table, then holding the rows, a transposed
+    # copy and every square of a column at once took 3.3x and 3.5x, and
+    # a new int per entry made the overflow rows 0.48 MiB, not 0.30
+    for triple, cap, status, count in (
+        ((12, 9, 8), 10**6, "complete", 4095),
+        ((15, 1, 6), 10**6, "complete", 32769),
+        ((14, 2, 4), 3000, "overflow", 3000),
+    ):
+        pres = extension(*triple)
+        tracemalloc.start()
+        try:
+            t = todd_coxeter(pres, max_cosets=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (t.status, t.count) == (status, count), triple
+        assert peak <= 2.5 * table_bytes(t), (triple, peak, table_bytes(t))
 
 
 def test_huge_extension_overflows_in_bounded_memory():
@@ -532,7 +556,7 @@ def test_a_relabelled_run_is_audited_once_against_the_callers_presentation(
     monkeypatch,
 ):
     seen = []
-    monkeypatch.setattr(enumerate_module, "audit_table", lambda t, p: seen.append(p))
+    monkeypatch.setattr(enumerate_module, "_audit_columns", lambda c, p: seen.append(p))
     pres = extension(12, 9, 8)
     t = todd_coxeter(pres)
     assert seen == [pres] and t.generators == ("a", "x")
@@ -577,20 +601,44 @@ def test_a_power_among_the_others_is_enumerated_as_given():
     assert (t.status, t.defined, t.rows) == ref.table()
 
 
+def unreduced_a12(pres):
+    """``pres`` with its a^12 written unreduced, as A a^13."""
+    return replace(pres, relators=((-1,) + (1,) * 13,) + pres.relators[1:])
+
+
+# powers written unreduced: a^2 as A a a a, and a^12 as A a^13
+UNREDUCED = (
+    FinitePresentation.make(("a", "b"), ("A a a a", "a^6", "a a a B B")),
+    unreduced_a12(extension(12, 9, 8)),
+)
+
+
 def test_relabelling_a_relabelled_presentation_changes_nothing():
+    presentations = [
+        extension(n, k, l)
+        for n in range(2, 13)
+        for k in range(n)
+        for l in range(n)
+        if classify(n, k, l).finite
+    ]
     moved = 0
-    for n in range(2, 13):
-        for k in range(n):
-            for l in range(n):
-                if classify(n, k, l).finite:
-                    powers, relators, subgroup, power, _, _ = relabel(
-                        extension(n, k, l)
-                    )
-                    form = FinitePresentation(("a", "x"), powers + relators, subgroup)
-                    unchanged = (powers, relators, subgroup, 0, 1, 0)
-                    assert relabel(form) == unchanged, (n, k, l)
-                    moved += power != 0
+    for pres in presentations + list(UNREDUCED):
+        powers, relators, subgroup, power, _, _ = relabel(pres)
+        form = FinitePresentation(pres.generators, powers + relators, subgroup)
+        unchanged = (powers, relators, subgroup, 0, 1, 0)
+        assert relabel(form) == unchanged, pres
+        moved += power != 0
     assert moved > 0
+
+
+def test_a_power_relator_written_unreduced_is_found():
+    # the power is decided on the freely reduced word and kept as that
+    # word, since the enumerator reads a power from its first letter
+    assert _reduce_powers(UNREDUCED[0].relators) == (((1, 1),), ((1, -2, -2),))
+    pres = extension(12, 9, 8)
+    assert relabel(unreduced_a12(pres)) == relabel(pres)
+    t, ref = todd_coxeter(unreduced_a12(pres)), todd_coxeter(pres)
+    assert (t.status, t.defined, t.rows) == (ref.status, ref.defined, ref.rows)
 
 
 RESUME_CASES = {
@@ -774,7 +822,10 @@ def test_a_relabelled_form_is_already_shortened():
 
 # -- relabel pinned: every form, and the three-syllable search at n = 10^6 ------
 
-RELABEL_DIGEST = "a2a98815080e614b904c7864c581aa16cfa8720f6b8951ec7d3123202ec61903"
+# re-pinned when powers came to be decided on freely reduced relators: the
+# four cases that moved have a lifted word x X a^e or X x a^e, a power of
+# a shorter than a^n (n = 22, 185, 19 and 186; e = 14, 172, 12 and 18)
+RELABEL_DIGEST = "86af4387388ff4dd40b424e157bcf548bb2e09bb5fc1273932b76d1597cdc626"
 
 
 def relabel_digest_cases():
