@@ -13,36 +13,38 @@ before giving up.  Completed tables are standardized (renumbered in
 first-visit order, columns scanned in declared generator order), so the
 result does not depend on how the enumeration went.
 
-Before HLT runs, relators are shortened modulo the power relators
-among them (``_reduce_powers``, the one place that decides a relator is
-a power).  For each generator g, the shortest relator that freely
-reduces to g^m (or G^m) is kept as a power relator, as that reduced
-word, and in every other relator each maximal run of g and G is
-replaced by g^e with its net exponent e reduced into (-m/2, m/2] (so
-``a^{n-1}`` becomes ``A`` given ``a^n``).
-Each such step multiplies a relator by a conjugate of g^{+-m}, which
-leaves the group and the subgroup unchanged; since standardized tables
-are canonical, the tables returned do not change either, only the work
-spent reaching them.  Completed tables are audited against the caller's
-relators, never the shortened ones.
+Before HLT runs, relators are shortened modulo the power relators among
+them (``_reduce_powers``, the one place that decides a relator is a
+power).  ``_runs`` reads a word as its runs of g and G, freely reduced,
+each run's net exponent reduced into (-m/2, m/2] given g^m (so
+``a^{n-1}`` becomes ``A`` given ``a^n``); a run that vanishes lets its
+neighbours merge or cancel.  For each generator g, the shortest relator
+whose runs are one g^m (or G^m) is kept as a power relator, as that
+reduced word, and every other relator becomes its runs modulo those.
+Each step multiplies a relator by a conjugate of g^{+-m} or cancels a
+letter against its inverse, which leaves the group and the subgroup
+unchanged; since standardized tables are canonical, the tables returned
+do not change either, only the work spent reaching them.  Completed
+tables are audited against the caller's relators, never the shortened
+ones.
 
 The power relators kept go to HLT as a list of their own, and are
 scanned at each coset before the others, for deductions and
 coincidences only.  Filling the gap in g^m would define up to m - 1
 cosets that the other relators' scans often merge again, so the
 g-cycles grow instead one coset at a time, through the row fill of each
-coset HLT processes.  A scan of g^m that walked more letters than the
-scans of the other relators read fills its gap all the same: left open,
-that long g-path would be walked again from every coset on it, and
-(a : a^10000) would take time quadratic in m.  When the scan of g^m
-leaves a coset alive with nothing open, its g-cycle is closed, so one
-walk along it records the other cosets on it, and those are not
+coset HLT processes.  A scan fills a gap only once it has walked more
+letters than its word's fill limit: -1 for the other relators and the
+subgroup words, and for g^m the letters the other relators' scans read,
+since a longer g-path left open would be walked again from every coset
+on it, and (a : a^10000) would take time quadratic in m.  When the scan
+of g^m leaves a coset alive with nothing open, its g-cycle is closed,
+so one walk along it records the other cosets on it, and those are not
 scanned for g^m, since a closed path stays closed under definitions and
-coincidences.  Nor is a coset with no g entry either way when m > 1,
-where the scan would change nothing.  Once every live row is full, one
-sweep scans each power relator at every live coset not yet recorded;
-it defines nothing, since rows are full, but it may merge cosets, and
-only after it is the table complete.
+coincidences.  Once every live row is full, one sweep scans each power
+relator at every live coset not yet recorded; it defines nothing, since
+rows are full, but it may merge cosets, and only after it is the table
+complete.
 
 In place of the other relators HLT scans cyclic conjugates
 (``_scan_list``): each becomes its distinct rotations that begin at a
@@ -70,8 +72,9 @@ from their (x-sign, g-run) syllables by integer arithmetic, and the form
 with the fewest letters is enumerated: G_12(9,8)'s W = x a^-3 x A x a^4
 becomes x a x A x (beta = 5, d = -4).  This changes the generating set,
 not the group or the subgroup, so the table is the same, but the work
-is not: over the 297 finite extensions with n <= 12, HLT defines 452,044
-cosets instead of 1,581,117 (1.76 instead of 6.17 per unit of index).
+is not: over the 297 finite extensions with n <= 12, HLT defines 280,304
+cosets against 1,598,277 for the caller's form (1.09 against 6.24 per
+unit of index).
 The columns of g and x are then rebuilt from those of b and y as whole
 columns, g = b^beta and G = B^beta by repeated squaring and x = y b^{-d}
 and X = b^d Y by composition, with entry 0 still meaning undefined, so
@@ -83,7 +86,7 @@ row fill define cosets through one routine, which appends an empty
 entry to each column, and compression rewrites the columns in place.
 One scan routine serves every pass: it runs a list of words from one
 coset, filling gaps with new cosets in HLT and subgroup scans and only
-applying deductions and coincidences in lookahead.
+applying deductions and coincidences in lookahead and the final sweep.
 
 A finished table is built column by column, after the enumerator is
 dropped: once HLT ends, the union-find and the scan lists go, and a
@@ -332,11 +335,11 @@ class _Enumerator:
     ``_compress`` keeps the column lists, so these stay valid.
 
     The power relators g^m come as a list of their own, ``powers``, and
-    the other relators as ``rels``.  Each HLT pass keeps one record per
-    power relator, the cosets whose g-cycle is known closed (a g^m = a).
-    At each live coset it scans the power relators whose records do not
-    hold it with ``_scan_power``, which fills a gap only past a walk of
-    ``reach`` letters, and then ``rels``, filling their gaps; the row
+    the other relators as ``rels``; each word also carries its fill limit
+    (see ``_scan``), for g^m the letters ``rels`` read.  Each HLT pass
+    keeps one record per power relator, the cosets whose g-cycle is
+    known closed (a g^m = a).  At each live coset it scans the power
+    relators whose records do not hold it and then ``rels``; the row
     fill then grows the g-cycles.  A closed path stays closed under
     definitions and coincidences, so a record stays true.  Below
     ``start`` every live row is full and has ``rels`` closed; a final
@@ -344,9 +347,7 @@ class _Enumerator:
     relators closed.
     """
 
-    __slots__ = (
-        "max", "cols", "pairs", "powers", "rels", "subs", "reach", "p", "dropped"
-    )
+    __slots__ = ("max", "cols", "pairs", "powers", "rels", "subs", "p", "dropped")
 
     def __init__(
         self,
@@ -359,17 +360,20 @@ class _Enumerator:
         self.max = max(1, max_cosets)
         self.cols: List[List[int]] = [[0, 0] for _ in range(2 * ngens)]
         self.pairs = [(col, self.cols[c ^ 1]) for c, col in enumerate(self.cols)]
-        # g^m reads g's columns m times, built from one letter
-        self.powers = [tuple(c * len(w) for c in self._reads(w[:1])) for w in powers]
         self.rels = [self._reads(w) for w in relators]
         self.subs = [self._reads(w) for w in subgroup]
-        self.reach = sum(len(fwd) for fwd, _ in self.rels)  # letters rels read
+        reach = sum(len(fwd) for fwd, _, _ in self.rels)  # letters rels read
+        # g^m reads g's columns m times, built from one letter
+        self.powers = [
+            tuple(c * len(w) for c in self._reads(w[:1])[:2]) + (reach,) for w in powers
+        ]
         self.p = [0, 1]
         self.dropped = 0  # dead rows removed by compressions
 
     def _reads(self, word: WordInts):
-        """The columns a scan of a nonempty word reads, forwards and back."""
-        return tuple(zip(*[self.pairs[c] for c in _columns(word)]))
+        """A nonempty word's columns, read forwards and back, and fill limit -1."""
+        fwd, back = zip(*[self.pairs[c] for c in _columns(word)])
+        return fwd, back, -1
 
     @property
     def defined(self) -> int:
@@ -432,12 +436,13 @@ class _Enumerator:
 
         A scan that closes applies its coincidence, and one that is one
         entry short applies it as a deduction.  A longer gap is filled
-        with new cosets when ``fill`` is set and left open otherwise.
+        with new cosets when ``fill`` is set and the scan has walked more
+        letters than the word's fill limit, and left open otherwise.
         Returns the gap j - i + 1 of the last word left open, or 0 if none was.
         """
         p = self.p
         gap = 0
-        for fwd, back in words:
+        for fwd, back, limit in words:
             if p[a] != a:
                 return gap
             i, j = 0, len(fwd) - 1
@@ -464,7 +469,7 @@ class _Enumerator:
                 elif j == i:
                     fwd[i][f] = b
                     back[i][b] = f
-                elif fill:
+                elif fill and len(fwd) - (j - i + 1) > limit:  # letters walked
                     self._define(fwd[i], back[i], f)
                     continue
                 else:
@@ -472,22 +477,14 @@ class _Enumerator:
                 break
         return gap
 
-    def _scan_power(self, a: int, w, record, fill: bool):
-        """Scan the power relator g^m, as ``(reads,)``, from live coset a.
+    def _scan_power(self, a: int, reads, record, fill: bool):
+        """Scan the power relator g^m, as ``(word,)``, from live coset a.
 
-        The scan defines nothing unless ``fill`` is set and it walked
-        more letters than the scan of ``rels`` holds; then it fills the
-        gap, since a long open g-path left open would be walked again
-        from every coset on it.  When g^m closes at a and a lives, a's
-        g-cycle is closed and the other cosets on it go into ``record``.
+        When g^m closes at a and a lives, a's g-cycle is closed and the
+        other cosets on it go into ``record``.
         """
-        gap = self._scan(a, w, False)
-        if gap:
-            if not fill or len(w[0][0]) - gap <= self.reach:
-                return
-            self._scan(a, w, True)
-        if self.p[a] == a:
-            col = w[0][0][0]
+        if not self._scan(a, reads, fill) and self.p[a] == a:
+            col = reads[0][0][0]
             add = record.add
             c = col[a]
             while c != a:
@@ -500,20 +497,17 @@ class _Enumerator:
         p, rels = self.p, self.rels
         while True:
             a = start
-            # per power relator g^m: its scan, g's two columns, whether a
-            # coset with neither entry skips it (m > 1, where the scan
-            # would change nothing) and the cosets whose g-cycle is closed
-            records = [
-                ((w,), w[0][0], w[1][0], len(w[0]) > 1, set()) for w in self.powers
-            ]
+            # per power relator g^m: its scan, and the cosets whose g-cycle
+            # is closed
+            records = [((w,), set()) for w in self.powers]
             try:
                 if start == 1:
                     self._scan(1, self.subs, True)
                 while a < len(p):
                     if p[a] == a:
-                        for w, col, inv, skip_bare, record in records:
-                            if a not in record and (col[a] or inv[a] or not skip_bare):
-                                self._scan_power(a, w, record, True)
+                        for reads, record in records:
+                            if a not in record:
+                                self._scan_power(a, reads, record, True)
                         self._scan(a, rels, True)
                     if p[a] == a:
                         for col, inv in self.pairs:
@@ -527,10 +521,10 @@ class _Enumerator:
                 continue
             # every live row is full and has rels closed; the power relators
             # left open are closed, or their cosets merged, here
-            for w, _, _, _, record in records:
+            for reads, record in records:
                 for a in range(1, len(p)):
                     if p[a] == a and a not in record:
-                        self._scan_power(a, w, record, False)
+                        self._scan_power(a, reads, record, False)
             return True
 
     def _lookahead(self, start: int, records) -> int:
@@ -545,9 +539,9 @@ class _Enumerator:
         before = sum(1 for a in range(1, len(p)) if p[a] == a)
         for a in range(start, len(p)):
             if p[a] == a:
-                for w, col, inv, skip_bare, record in records:
-                    if a not in record and (col[a] or inv[a] or not skip_bare):
-                        self._scan_power(a, w, record, False)
+                for reads, record in records:
+                    if a not in record:
+                        self._scan_power(a, reads, record, False)
                 self._scan(a, rels, False)
         live = self._compress()
         if len(live) < self.max and before - len(live) >= max(1, self.max // 100):
@@ -583,17 +577,16 @@ def _reduce_powers(
     that freely reduces to one letter repeated (g^m or G^m) is kept as
     that reduced word, since the enumerator reads a power from its first
     letter, and ``powers`` holds these in relator order.  ``others``
-    holds every other relator, each maximal run of g and G in it
-    replaced by g^e, with its net exponent e reduced into (-m/2, m/2];
-    runs and relators that vanish are dropped.  Every step multiplies a
-    relator by a conjugate of g^m or G^m, so the presented group is
-    unchanged.  A longer power of a generator that has one stays in
-    ``others``: given a^4, a^6 becomes a^2.
+    holds every other relator as its ``_runs`` modulo the powers, and
+    drops those that vanish.  Every step multiplies a relator by a
+    conjugate of g^m or G^m, or cancels a letter against its inverse, so
+    the presented group is unchanged.  A longer power of a generator
+    that has one stays in ``others``: given a^4, a^6 becomes a^2.
     """
     shortest: Dict[int, Tuple[int, WordInts]] = {}  # generator -> (index, power)
     for i, w in enumerate(relators):
-        if w.count(w[0]) != len(w):
-            runs = _free_runs(w)
+        if w.count(w[0]) != len(w):  # not one letter repeated: read its runs
+            runs = _runs(w, {})
             if len(runs) != 1:
                 continue
             g, e = runs[0]
@@ -608,24 +601,19 @@ def _reduce_powers(
         if i in kept:
             continue
         rel: List[int] = []
-        for g, run in groupby(w, key=abs):
-            run = tuple(run)
-            m = period.get(g)
-            if m is None:
-                rel.extend(run)
-                continue
-            e = _reduced(len(run) - 2 * run.count(-g), m)
-            rel.extend([g] * e if e > 0 else [-g] * -e)
+        for g, e in _runs(w, period):
+            rel += [g] * e if e > 0 else [-g] * -e
         if rel:
             others.append(tuple(rel))
     return tuple(w for _, w in sorted(shortest.values())), tuple(others)
 
 
-def _free_runs(word: WordInts) -> List[Tuple[int, int]]:
-    """The freely reduced word as (generator, nonzero exponent) runs.
+def _runs(word: WordInts, period: Dict[int, int]) -> List[Tuple[int, int]]:
+    """The word freely reduced modulo g^period[g], as (generator, exponent) runs.
 
-    Each maximal run of one generator and its inverse counts whole, and
-    a run that cancels lets its neighbours merge.
+    Each maximal run of one generator and its inverse counts whole, its
+    net exponent reduced into (-m/2, m/2] when ``period`` gives an m; a
+    run that vanishes lets its neighbours merge, and cancel in turn.
     """
     runs: List[Tuple[int, int]] = []
     for g, run in groupby(word, key=abs):
@@ -633,6 +621,8 @@ def _free_runs(word: WordInts) -> List[Tuple[int, int]]:
         e = len(run) - 2 * run.count(-g)
         if runs and runs[-1][0] == g:
             e += runs.pop()[1]
+        if g in period:
+            e = _reduced(e, period[g])
         if e:
             runs.append((g, e))
     return runs
@@ -761,16 +751,15 @@ def _syllables(word: WordInts, x: int) -> List[Tuple[int, int, int]]:
     """A relator's cyclic syllables x^s g^p, as (s, p, c), from its first x.
 
     c = [next s = -1] - [s = +1] is how far the run p moves per unit of d
-    when x = y b^{-d}.  A g-run is counted whole, not letter by letter.
+    when x = y b^{-d}.  A g-run is read whole, by ``_runs``.
     """
     first = min(word.index(c) for c in (x, -x) if c in word)
     out: List[List[int]] = []
-    for g, run in groupby(word[first:] + word[:first], key=abs):
-        run = tuple(run)
+    for g, e in _runs(word[first:] + word[:first], {}):
         if g == x:
-            out += [[1 if c > 0 else -1, 0] for c in run]
+            out += [[1 if e > 0 else -1, 0] for _ in range(abs(e))]
         else:
-            out[-1][1] = len(run) - 2 * run.count(-g)
+            out[-1][1] = e
     return [
         (s, p, (out[(j + 1) % len(out)][0] == -1) - (s == 1))
         for j, (s, p) in enumerate(out)

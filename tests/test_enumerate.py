@@ -351,8 +351,14 @@ def test_reduce_powers_writes_a_to_the_minus_one():
 
 
 def test_reduce_powers_drops_runs_that_vanish():
+    # given a^5, x a^5 x becomes x x, and x a^-10 X vanishes: once a^-10
+    # has gone, x meets X and cancels
     rels = (A5, (2, 1, 1, 1, 1, 1, 2), (2,) + (-1,) * 10 + (-2,))
-    assert _reduce_powers(rels) == ((A5,), ((2, 2), (2, -2)))
+    assert _reduce_powers(rels) == ((A5,), ((2, 2),))
+    # in x a x a^-5 X A X the pairs x X, a A and x X cancel in turn across
+    # the vanished a^-5
+    nested = (2, 1, 2) + (-1,) * 5 + (-2, -1, -2)
+    assert _reduce_powers((A5, nested, nested + (2,))) == ((A5,), ((2,),))
 
 
 def test_reduce_powers_inverse_power_relator():
@@ -693,13 +699,21 @@ SKIP_CASES = [
 def test_power_relator_reads_match_the_letter_by_letter_reads(pres):
     powers, others = _reduce_powers(pres.relators)
     enum = _Enumerator(len(pres.generators), powers, others, pres.subgroup, 100)
-    cases = ((powers, enum.powers), (others, enum.rels), (pres.subgroup, enum.subs))
-    for words, reads in cases:
+    # a power relator fills its gap only past a walk of more letters than
+    # the others read; every other word fills any gap
+    reach = sum(map(len, others))
+    cases = (
+        (powers, enum.powers, reach),
+        (others, enum.rels, -1),
+        (pres.subgroup, enum.subs, -1),
+    )
+    for words, reads, limit in cases:
         assert len(reads) == len(words)
-        for word, got in zip(words, reads):
+        for word, (fwd, back, got_limit) in zip(words, reads):
             letters = zip(*[enum.pairs[c] for c in _columns(word)])
             ids = [[id(col) for col in r] for r in letters]
-            assert [[id(col) for col in r] for r in got] == ids
+            assert [[id(col) for col in r] for r in (fwd, back)] == ids
+            assert got_limit == limit
     assert powers
 
 
@@ -732,6 +746,41 @@ def test_skipping_closed_power_cycles_matches_restart_on_small_triples():
                     assert (got.status, got.defined, got.rows) == ref, (n, k, l)
                     count += 1
     assert count == 177
+
+
+def random_two_generator_presentations(seed, count):
+    """(a, b : a^m [, b^k], U [, V]) over 1, <a>, <a^2> or <b>, capped at 40-2,000."""
+    rng = random.Random(seed)
+    letters = (1, -1, 2, -2)
+    subgroups = ((), ((1,),), ((1, 1),), ((2,),))
+    for _ in range(count):
+        relators = [(1,) * rng.randint(1, 12)]
+        if rng.random() < 0.5:
+            relators.append((2,) * rng.randint(1, 8))
+        for _ in range(rng.randint(1, 2)):
+            relators.append(tuple(rng.choices(letters, k=rng.randint(1, 10))))
+        pres = FinitePresentation(("a", "b"), tuple(relators), rng.choice(subgroups))
+        yield pres, rng.randint(40, 2000)
+
+
+def test_random_presentations_match_restart_without_lookahead():
+    # beyond the pinned cases, the one check of HLT's row fill and of a
+    # power relator's fill past its limit: in this sample the row fill
+    # defines cosets in 234 runs and the power fill in 86, where no
+    # benchmark workload reaches either; a run with a lookahead may differ
+    # from a restart, so only those without one are compared
+    compared = 0
+    for pres, cap in random_two_generator_presentations(20, 1000):
+        form = relabelled(pres)
+        if relabelled(form) != form:
+            continue
+        got = todd_coxeter(form, max_cosets=cap)
+        ref = RestartEnumerator(form, cap)
+        want = ref.table()
+        if not ref.lookaheads:
+            assert (got.status, got.defined, got.rows) == want, (pres, cap)
+            compared += 1
+    assert compared == 648
 
 
 # -- power relators scanned for deductions, closed by a final sweep ------------
@@ -824,8 +873,12 @@ def test_a_relabelled_form_is_already_shortened():
 
 # re-pinned when powers came to be decided on freely reduced relators: the
 # four cases that moved have a lifted word x X a^e or X x a^e, a power of
-# a shorter than a^n (n = 22, 185, 19 and 186; e = 14, 172, 12 and 18)
-RELABEL_DIGEST = "86af4387388ff4dd40b424e157bcf548bb2e09bb5fc1273932b76d1597cdc626"
+# a shorter than a^n (n = 22, 185, 19 and 186; e = 14, 172, 12 and 18).
+# Re-pinned again when the other relators came to be freely reduced as
+# well, a run that vanishes modulo a^n letting its neighbours cancel: the
+# 54 cases that moved all have a relator that is not freely reduced (58
+# of the 6,899 do)
+RELABEL_DIGEST = "b3d99343361f2b79eab2afdece89a3defe85e63d26a6e1a761dd4078254a9a8b"
 
 
 def relabel_digest_cases():
