@@ -52,15 +52,17 @@ letter of a generator with no power relator, such as the three
 rotations of ``x a^k x a^{l-k} x a^{-l}`` that begin at an x.  Cyclic
 conjugates have the same normal closure, so again only the work
 changes: a deduction that a rotation gives at once no longer waits for
-the scan from the relator's first letter.  After a lookahead pass, HLT
-resumes at the first live coset at or after the one it was working on,
-and the lookahead pass starts there too.  Every live coset below that
-point has a full row and the other relators closed, and coincidences
-keep both, so scanning those relators there again would define and
-merge nothing; the power relators there are left to the final sweep.
-Lookahead scans power relators without filling and skips the cosets
-HLT has recorded, since numbering does not change until it compresses;
-each HLT pass after it starts with no records.
+the scan from the relator's first letter.
+
+Lookahead and the final sweep are one pass, ``_sweep``, that scans
+without defining: the power relators at every live coset that HLT's
+records do not hold, and the other relators from a given coset on.
+Below the coset HLT was working on at the cap, every live row is full
+and has the other relators closed, and coincidences keep both, so
+lookahead scans them from there.  If it frees enough, the table is
+compressed and HLT starts again at coset 1 with no records, scanning
+the other relators only from that point, renumbered; a restart would
+scan them below it to no effect, so the run defines what a restart does.
 
 Before any of that, ``relabel`` picks new generators for presentations
 on two generators g and x in which g alone has a power relator g^m,
@@ -86,7 +88,7 @@ row fill define cosets through one routine, which appends an empty
 entry to each column, and compression rewrites the columns in place.
 One scan routine serves every pass: it runs a list of words from one
 coset, filling gaps with new cosets in HLT and subgroup scans and only
-applying deductions and coincidences in lookahead and the final sweep.
+applying deductions and coincidences in ``_sweep``.
 
 A finished table is built column by column, after the enumerator is
 dropped: once HLT ends, the union-find and the scan lists go, and a
@@ -341,10 +343,11 @@ class _Enumerator:
     known closed (a g^m = a).  At each live coset it scans the power
     relators whose records do not hold it and then ``rels``; the row
     fill then grows the g-cycles.  A closed path stays closed under
-    definitions and coincidences, so a record stays true.  Below
-    ``start`` every live row is full and has ``rels`` closed; a final
-    sweep of ``_scan_power`` at every live coset proves the power
-    relators closed.
+    definitions and coincidences, so a record stays true.  Every pass
+    starts at coset 1, and below ``start``, where every live row is full
+    and has ``rels`` closed, it scans only the power relators.  At the
+    cap, ``_sweep`` is the lookahead, and once HLT ends it proves the
+    power relators closed.
     """
 
     __slots__ = ("max", "cols", "pairs", "powers", "rels", "subs", "p", "dropped")
@@ -357,7 +360,7 @@ class _Enumerator:
         subgroup: Sequence[WordInts],
         max_cosets: int,
     ):
-        self.max = max(1, max_cosets)
+        self.max = max_cosets
         self.cols: List[List[int]] = [[0, 0] for _ in range(2 * ngens)]
         self.pairs = [(col, self.cols[c ^ 1]) for c, col in enumerate(self.cols)]
         self.rels = [self._reads(w) for w in relators]
@@ -496,57 +499,50 @@ class _Enumerator:
         start = 1  # live cosets below start have rels closed and full rows
         p, rels = self.p, self.rels
         while True:
-            a = start
-            # per power relator g^m: its scan, and the cosets whose g-cycle
-            # is closed
+            # per power relator g^m: its scan, and the cosets on closed g-cycles
             records = [((w,), set()) for w in self.powers]
+            a = 1
             try:
-                if start == 1:
-                    self._scan(1, self.subs, True)
+                self._scan(1, self.subs, True)
                 while a < len(p):
                     if p[a] == a:
                         for reads, record in records:
                             if a not in record:
                                 self._scan_power(a, reads, record, True)
-                        self._scan(a, rels, True)
+                        if a >= start:
+                            self._scan(a, rels, True)
                     if p[a] == a:
                         for col, inv in self.pairs:
                             if not col[a]:
                                 self._define(col, inv, a)
                     a += 1
             except _TableFull:
-                start = self._lookahead(a, records)
-                if not start:
-                    return False
-                continue
+                before = sum(1 for c in range(1, len(p)) if p[c] == c)
+                self._sweep(a, records)
+                live = self._compress()
+                if len(live) < self.max and before - len(live) >= max(1, self.max // 100):
+                    start = 1 + bisect_left(live, a)
+                    continue
+                return False
             # every live row is full and has rels closed; the power relators
             # left open are closed, or their cosets merged, here
-            for reads, record in records:
-                for a in range(1, len(p)):
-                    if p[a] == a and a not in record:
-                        self._scan_power(a, reads, record, False)
+            self._sweep(len(p), records)
             return True
 
-    def _lookahead(self, start: int, records) -> int:
-        """Scan from ``start`` without defining, then compress the table.
+    def _sweep(self, start: int, records):
+        """Scan every live coset without defining, for lookahead or to close HLT.
 
-        Power relators are skipped where ``records``, HLT's records of
-        closed g-cycles, hold the coset.  Returns where HLT resumes, the
-        renumbered first live coset at or after ``start``, or 0 when the
-        pass freed too little to go on.
+        A power relator is skipped where its record in ``records`` holds
+        the coset, and ``rels`` below ``start``, where they are closed.
         """
         p, rels = self.p, self.rels
-        before = sum(1 for a in range(1, len(p)) if p[a] == a)
-        for a in range(start, len(p)):
+        for a in range(1, len(p)):
             if p[a] == a:
                 for reads, record in records:
                     if a not in record:
                         self._scan_power(a, reads, record, False)
-                self._scan(a, rels, False)
-        live = self._compress()
-        if len(live) < self.max and before - len(live) >= max(1, self.max // 100):
-            return 1 + bisect_left(live, start)
-        return 0
+                if a >= start:
+                    self._scan(a, rels, False)
 
     def _compress(self) -> List[int]:
         """Drop dead rows, renumber live cosets in order; return their old numbers."""
@@ -840,8 +836,11 @@ def todd_coxeter(pres: FinitePresentation, max_cosets: int = 1_000_000) -> Coset
     enough (the enumeration is a semi-decision procedure: overflow means
     undecided).  The run enumerates the form ``relabel`` picks, so
     ``max_cosets`` bounds, and ``defined`` counts, the cosets of that
-    run; the table returned is in the caller's generators.
+    run; the table returned is in the caller's generators.  Raises
+    ``ValueError`` when ``max_cosets`` is below 1.
     """
+    if max_cosets < 1:
+        raise ValueError(f"max_cosets must be at least 1, not {max_cosets}")
     powers, relators, subgroup, power, beta, d = relabel(pres)
     scan = _scan_list(powers, relators)
     enum = _Enumerator(len(pres.generators), powers, scan, subgroup, max_cosets)

@@ -141,17 +141,16 @@ class RestartEnumerator:
 
     A list of rows and a union-find, as the library enumerator stored
     its table before it went column-major, with lookahead and the HLT
-    pass after it both restarting at coset 1 where the library resumes
-    at the first live coset not yet processed.  Power relators are scanned
-    first at every coset, without defining unless the scan walked more
-    letters than the other relators hold, and are not skipped on closed
-    cycles; once every row is full, one sweep scans each power relator at
-    every live coset, and ``swept`` counts the cosets that sweep merged.
-    Without lookahead the library must reach the same table with the same
-    number of definitions.  After one it may not in general: a restart
-    scans the power relators below the resume point again, where the
-    library leaves them to its final sweep.  The tests pin cases where
-    the two still agree.
+    pass after it both scanning every relator at every coset from coset
+    1, where the library skips the other relators below the first live
+    coset not yet processed, since they are closed there.  Power relators
+    are scanned first at every coset, without defining unless the scan
+    walked more letters than the other relators hold, and are not
+    skipped on closed cycles; once every row is full, one sweep scans
+    each power relator at every live coset, and ``swept`` counts the
+    cosets that sweep merged.  With or without lookahead the library
+    must reach the same table, or give up at the same point, with the
+    same number of definitions.
     """
 
     def __init__(self, pres, max_cosets):

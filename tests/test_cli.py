@@ -210,11 +210,19 @@ def test_orbits_needs_word_or_triple(capsys):
         (("orbits", "--n", "5", "--word", "x0 X0"), "not cyclically reduced"),
         (("rewrite", "--n", "3", "--f", "0", "--word", "q"), "token"),
         (("enumerate", "--file", "/nonexistent/x.txt"), "No such file"),
+        (("enumerate", "--file", "{k}", "--max-cosets", "-5"), "at least 1"),
+        (("orbits", "--n", "5", "--k", "0", "--l", "1", "--max-cosets", "-1"),
+         "at least 1"),
     ],
-    ids=["classify", "sweep", "orbits-word", "rewrite", "enumerate"],
+    ids=["classify", "sweep", "orbits-word", "rewrite", "enumerate",
+         "enumerate-cap", "orbits-cap"],
 )
-def test_invalid_input_prints_one_error_line_and_exits_2(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
+def test_invalid_input_prints_one_error_line_and_exits_2(
+    tmp_path, capsys, argv, message
+):
+    path = tmp_path / "k.txt"  # "{k}" in argv names this file
+    path.write_text(K_TEXT)
+    code, out, err = run(capsys, *(a.replace("{k}", str(path)) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
 

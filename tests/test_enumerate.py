@@ -300,6 +300,12 @@ def test_overflow_cap_one_is_legal():
     assert t.status == "overflow"
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_a_cap_below_one_is_rejected(cap):
+    with pytest.raises(ValueError, match="max_cosets"):
+        todd_coxeter(cyclic_pres(5), max_cosets=cap)
+
+
 # -- presentation builders --------------------------------------------------------
 
 def lift_gnkl(n, k, l):
@@ -763,24 +769,45 @@ def random_two_generator_presentations(seed, count):
         yield pres, rng.randint(40, 2000)
 
 
-def test_random_presentations_match_restart_without_lookahead():
+def test_random_presentations_match_restart():
     # beyond the pinned cases, the one check of HLT's row fill and of a
     # power relator's fill past its limit: in this sample the row fill
     # defines cosets in 234 runs and the power fill in 86, where no
-    # benchmark workload reaches either; a run with a lookahead may differ
-    # from a restart, so only those without one are compared
-    compared = 0
+    # benchmark workload reaches either; a run resumed after lookahead
+    # must match a restart too
+    compared = lookaheads = 0
     for pres, cap in random_two_generator_presentations(20, 1000):
         form = relabelled(pres)
         if relabelled(form) != form:
             continue
         got = todd_coxeter(form, max_cosets=cap)
         ref = RestartEnumerator(form, cap)
-        want = ref.table()
-        if not ref.lookaheads:
-            assert (got.status, got.defined, got.rows) == want, (pres, cap)
-            compared += 1
-    assert compared == 648
+        assert (got.status, got.defined, got.rows) == ref.table(), (pres, cap)
+        compared += 1
+        lookaheads += ref.lookaheads > 0
+    assert (compared, lookaheads) == (806, 158)
+
+
+@pytest.mark.parametrize(
+    "rels, sub, cap, index, defined",
+    [
+        (("a^5", "b^8", "b A A B"), ("a",), 1450, 8, 1450),
+        (("a^6", "b^3", "B a a b a B A B a b"), (), 59, 3, 91),
+    ],
+    ids=["a^5 b^8 over <a>", "a^6 b^3 over 1"],
+)
+def test_a_run_resumed_after_lookahead_completes_where_a_restart_does(
+    rels, sub, cap, index, defined
+):
+    # each run completes only because its lookahead scans the power
+    # relators below the coset HLT was working on, and the HLT pass after
+    # it scans them there again with fill, as the restart reference does
+    pres = FinitePresentation.make(("a", "b"), rels, sub)
+    t = todd_coxeter(pres, max_cosets=cap)
+    assert (t.status, t.count, t.defined) == ("complete", index, defined)
+    ref = RestartEnumerator(pres, cap)
+    assert (t.status, t.defined, t.rows) == ref.table()
+    assert ref.lookaheads > 0
 
 
 # -- power relators scanned for deductions, closed by a final sweep ------------

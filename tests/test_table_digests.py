@@ -3,11 +3,11 @@
 Each entry pins the index and the sha256 of ``repr(table.rows)`` for the
 standardized HLT table of one presentation.  The digests were generated
 by the enumerator as it stood before HLT scanned cyclic conjugates of
-the relators and resumed after lookahead (after power-relator reduction
-had landed), and they must not change: standardized tables are
-canonical, so an enumerator change that only changes the work spent
-leaves every digest as it is.  A failure here means that a complete
-table changed.
+the relators and skipped, after a lookahead, the relators already
+closed (after power-relator reduction had landed), and they must not
+change: standardized tables are canonical, so an enumerator change
+that only changes the work spent leaves every digest as it is.  A
+failure here means that a complete table changed.
 
 The corpus is every finite G_n(k,l) with 2 <= n <= 8 as the extension
 E = (a, x : a^n, x a^k x a^{l-k} x a^{-l}) over <a>, the n = 18 evidence
