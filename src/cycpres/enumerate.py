@@ -59,10 +59,12 @@ without defining: the power relators at every live coset that HLT's
 records do not hold, and the other relators from a given coset on.
 Below the coset HLT was working on at the cap, every live row is full
 and has the other relators closed, and coincidences keep both, so
-lookahead scans them from there.  If it frees enough, the table is
-compressed and HLT starts again at coset 1 with no records, scanning
-the other relators only from that point, renumbered; a restart would
-scan them below it to no effect, so the run defines what a restart does.
+lookahead scans them from there.  If it frees enough, the interrupted
+pass's records are dropped, the table is compressed so that HLT can go
+on, and HLT starts again at coset 1 with no records, scanning the other
+relators only from that point, renumbered; a restart would scan them
+below it to no effect, so the run defines what a restart does.  If it
+does not, the run gives up as it stands, uncompressed.
 
 Before any of that, ``relabel`` picks new generators for presentations
 on two generators g and x in which g alone has a power relator g^m,
@@ -93,23 +95,25 @@ applying deductions and coincidences in ``_sweep``.
 A finished table is built column by column, after the enumerator is
 dropped: once HLT ends, the union-find and the scan lists go, and a
 relabelled run's columns of b and y go as those of g and x are composed.
-A complete table is then standardized straight off the live columns:
-one walk from coset 1 numbers the cosets in first-visit order, reading
-columns in declared order, and each column is then read off in that
-order, replacing its live column, so the rows of dead cosets, which stay
-in the table until a compression, are never visited.  HLT compresses
-just before it gives up, so an overflow table is the live rows as they
-stand, each entry mapped through one shared list of the ints -1 to
-count - 1.  The audit checks a complete table's columns before they are
-zipped into rows, a whole column at a time: range entries per column,
-one inverse pass per generator and its inverse (G[g[i]] == i makes g a
-bijection with inverse G), and each relator traced from all cosets at
-once, one list pass per maximal run g^e over the column of g^e, built by
-repeated squaring that keeps no square past the run.  The first inverse
-pass is the identity column, made of the table's own ints, so no list of
-new ints is built to compare with.  ``audit_table`` transposes a table's
-rows into the same column check.  A failure names the first offending
-entry in row order, or the first coset, as a row by row check would.
+Both outcomes are read off the live columns the same way: a list of the
+live cosets in order and a label per coset, -1 for the undefined entry
+0, and each column is read off in that order through the labels,
+replacing its live column, so the rows of dead cosets, which stay in the
+table until a compression, are never visited.  For a complete table one
+walk from coset 1 numbers the cosets in first-visit order, reading
+columns in declared order, which standardizes it; a run that gives up
+returns its live cosets in ascending order, labelled 0 to count - 1, and
+its overflow table is those rows.  The audit checks a complete table's
+columns before they are zipped into rows, a whole column at a time:
+range entries per column, one inverse pass per generator and its inverse
+(G[g[i]] == i makes g a bijection with inverse G), and each relator
+traced from all cosets at once, one list pass per maximal run g^e over
+the column of g^e, built by repeated squaring that keeps no square past
+the run.  The first inverse pass is the identity column, made of the
+table's own ints, so no list of new ints is built to compare with.
+``audit_table`` transposes a table's rows into the same column check.  A
+failure names the first offending entry in row order, or the first
+coset, as a row by row check would.
 
 Presentation text format::
 
@@ -131,10 +135,10 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import groupby
 from math import gcd
 from operator import ne
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 WordInts = Tuple[int, ...]  # letters as nonzero signed 1-based generator numbers
 
@@ -494,8 +498,15 @@ class _Enumerator:
                 add(c)
                 c = col[c]
 
-    def run(self) -> bool:
-        """Enumerate by HLT with lookahead; False when the cap was hit."""
+    def run(self) -> Optional[List[int]]:
+        """Enumerate by HLT with lookahead; None once the table is complete.
+
+        At the cap, lookahead sweeps and the live cosets are listed.  If
+        it freed enough, the interrupted pass's records are dropped and
+        the table is compressed, so that HLT can go on.  Otherwise the run
+        gives up and returns the live cosets in ascending order, its table
+        left as it stands, dead rows and all.
+        """
         start = 1  # live cosets below start have rels closed and full rows
         p, rels = self.p, self.rels
         while True:
@@ -519,15 +530,17 @@ class _Enumerator:
             except _TableFull:
                 before = sum(1 for c in range(1, len(p)) if p[c] == c)
                 self._sweep(a, records)
-                live = self._compress()
+                live = [c for c in range(1, len(p)) if p[c] == c]
                 if len(live) < self.max and before - len(live) >= max(1, self.max // 100):
-                    start = 1 + bisect_left(live, a)
+                    records = record = None  # freed before the rows are renumbered
+                    self._compress(live)
+                    start, live = 1 + bisect_left(live, a), None  # old numbers freed
                     continue
-                return False
+                return live
             # every live row is full and has rels closed; the power relators
             # left open are closed, or their cosets merged, here
             self._sweep(len(p), records)
-            return True
+            return None
 
     def _sweep(self, start: int, records):
         """Scan every live coset without defining, for lookahead or to close HLT.
@@ -544,18 +557,20 @@ class _Enumerator:
                 if a >= start:
                     self._scan(a, rels, False)
 
-    def _compress(self) -> List[int]:
-        """Drop dead rows, renumber live cosets in order; return their old numbers."""
+    def _compress(self, live: List[int]):
+        """Drop dead rows, renumbering the live cosets ``live`` 1, 2, ... in order.
+
+        HLT compresses only to go on.  The new numbers are one set of
+        ints, shared by the columns and the union-find.
+        """
         p = self.p
-        live = [a for a in range(1, len(p)) if p[a] == a]
         remap = [0] * len(p)
         for new, a in enumerate(live, 1):
             remap[a] = new
         for col in self.cols:
             col[1:] = [remap[col[a]] for a in live]
         self.dropped += len(p) - 1 - len(live)
-        p[:] = range(len(live) + 1)
-        return live
+        p[1:] = [remap[a] for a in live]
 
 
 def _reduced(e: int, m: int) -> int:
@@ -762,21 +777,21 @@ def _syllables(word: WordInts, x: int) -> List[Tuple[int, int, int]]:
     ]
 
 
-def _finish(cols: List[List[int]], complete: bool):
+def _finish(cols: List[List[int]], live: Optional[List[int]]):
     """Turn a run's live columns, in place, into the finished table's columns.
 
-    Finished columns are 0-based, with -1 for an undefined entry.  A
-    complete table is standardized straight off the live rows: a walk
-    from coset 1 in first-visit order, reading columns in declared
-    order, numbers the cosets, and then each column is read off in that
-    order, so dead rows are never visited.  An overflow run has just
-    compressed its table, so its columns are the live rows, each entry e
-    mapped to e - 1 through one shared list.  Each live column is
-    replaced as its finished column is built, so a caller that holds no
-    other reference to it frees it there.
+    ``live`` is what ``_Enumerator.run`` returns: None for a complete
+    table, or the live cosets of a run that gave up.  Finished columns
+    are 0-based, with -1 for an undefined entry.  The rows are read off
+    in one order through one label per coset: a complete table is
+    standardized by a walk from coset 1 in first-visit order, reading
+    columns in declared order, and an overflow table keeps the live
+    cosets in ascending order.  Dead rows are never visited.  Each live
+    column is replaced as its finished column is built, so a caller that
+    holds no other reference to it frees it there.
     """
-    if complete:
-        label = [-1] * len(cols[0])
+    label = [-1] * len(cols[0])
+    if live is None:
         label[1] = 0
         order = [1]
         for a in order:  # order grows while it is walked
@@ -786,12 +801,12 @@ def _finish(cols: List[List[int]], complete: bool):
                     label[e] = len(order)
                     order.append(e)
         del col  # else the last live column would outlive its replacement
-        for c in range(len(cols)):
-            cols[c] = list(map(label.__getitem__, map(cols[c].__getitem__, order)))
     else:
-        shifted = list(range(-1, len(cols[0]) - 1))
-        for c in range(len(cols)):
-            cols[c] = list(map(shifted.__getitem__, islice(cols[c], 1, None)))
+        order = live
+        for new, a in enumerate(live):
+            label[a] = new
+    for c in range(len(cols)):
+        cols[c] = list(map(label.__getitem__, map(cols[c].__getitem__, order)))
 
 
 def _power(col: Sequence[int], e: int) -> Sequence[int]:
@@ -844,16 +859,16 @@ def todd_coxeter(pres: FinitePresentation, max_cosets: int = 1_000_000) -> Coset
     powers, relators, subgroup, power, beta, d = relabel(pres)
     scan = _scan_list(powers, relators)
     enum = _Enumerator(len(pres.generators), powers, scan, subgroup, max_cosets)
-    complete = enum.run()
+    live = enum.run()
     cols, defined = enum.cols, enum.defined
     del enum  # the union-find and the scan lists go before the table is finished
     if power:
         cols = _caller_columns(cols, power, beta, d)  # and the b and y columns here
-    _finish(cols, complete)
-    if complete:
+    _finish(cols, live)
+    if live is None:
         _audit_columns(cols, pres)
     rows = tuple(zip(*cols))
-    status = "complete" if complete else "overflow"
+    status = "complete" if live is None else "overflow"
     return CosetTable(pres.generators, rows, status, len(rows), defined)
 
 
