@@ -5,11 +5,9 @@ Run:  python demos/01_words_and_presentations.py
 
 from cycpres import (
     CyclicPresentation,
-    cyclic_reduce,
     free_reduce,
     gnkl,
     invert,
-    is_cyclic_perm,
     orientability,
     parse_word,
     shift,
@@ -23,12 +21,12 @@ print("inverse    =", invert(w))
 print("shifted    =", shift(w, 1), "   (every index moves up by one)")
 print("shift^5    =", shift(w, 5), "   (the shift has order n)")
 
-# Free and cyclic reduction.
+# Free reduction cancels adjacent inverse pairs; a reduced word is also
+# cyclically reduced when its first and last letters do not cancel.
 messy = parse_word("x1 x0 X0 x3 X3 x2 X1", 4)
+reduced = free_reduce(messy)
 print("\nmessy      =", messy)
-print("reduced    =", free_reduce(messy))
-core, conj = cyclic_reduce(messy)
-print("cyclic core =", core, "  conjugator =", conj)
+print("reduced    =", reduced, "  cyclically reduced:", reduced.is_cyclically_reduced)
 
 # A cyclic presentation takes one defining word and relators all its shifts.
 p = CyclicPresentation(3, parse_word("x0 x1 x2", 3))
@@ -46,7 +44,3 @@ print("\nP_3(x0 x1 x2) orientable:", orientability(p).orientable)
 v = orientability(CyclicPresentation(2, parse_word("x0 X1", 2)))
 print("P_2(x0 X1) orientable:", v.orientable, " witness:", v.witness)
 print("  (the witness u satisfies u * shift^m(u)^{-1} = w with n = 2m)")
-
-# Cyclic permutations are detected with the rotation offset.
-print("\ncyclic perm offset:", is_cyclic_perm(parse_word("x0 x1 x2", 3),
-                                              parse_word("x2 x0 x1", 3)))

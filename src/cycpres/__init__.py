@@ -11,12 +11,9 @@ the shift through coset tables (``dynamics``).
 from .words import (
     Word,
     concat,
-    cyclic_reduce,
     free_reduce,
     invert,
-    is_cyclic_perm,
     parse_word,
-    rotate,
     shift,
 )
 from .cyclic import (
@@ -58,8 +55,7 @@ from .dynamics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Word", "concat", "cyclic_reduce", "free_reduce", "invert",
-    "is_cyclic_perm", "parse_word", "rotate", "shift",
+    "Word", "concat", "free_reduce", "invert", "parse_word", "shift",
     "CyclicPresentation", "OrientabilityVerdict", "gcd_decompose", "gnkl",
     "orientability",
     "RelativeWord", "Retraction", "change_variable", "lift",

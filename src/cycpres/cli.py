@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -23,13 +24,17 @@ EXIT_UNDECIDED = 3
 
 
 def _order_value(cls: taxonomy.Classification):
-    """The order, or its formula when it is too long to print in decimal."""
-    if cls.order is None:
+    """The order, or its formula when its decimal would pass the int-to-str limit.
+
+    2^n - (-1)^n has as many digits as 2^n, so the limit is checked before
+    the int is built, which at n = 10^9 would take 125 MB.  With no limit
+    set, the default of 4,300 digits applies.
+    """
+    if cls.order_formula is None:
         return None
-    try:
-        str(cls.order)
-    except ValueError:  # past the interpreter's int-to-str digit limit
-        return taxonomy.order_formula(cls.n)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if int(cls.n * math.log10(2)) + 1 > limit:
+        return cls.order_formula
     return cls.order
 
 
@@ -56,8 +61,8 @@ def _print_classification(cls: taxonomy.Classification):
     cond = cls.conditions
     print(f"G_{cls.n}({cls.k},{cls.l})  [branch: {cls.branch}]")
     print(f"  gcd(n,k,l) = {cls.d}; conditions: A={cond.A} B={cond.B} C={cond.C}")
-    order = f" of order {_order_value(cls)}" if cls.order is not None else ""
-    print(f"  finite: {cls.finite}{order}")
+    order = _order_value(cls)
+    print(f"  finite: {cls.finite}" + (f" of order {order}" if order else ""))
     print(f"  combinatorially aspherical: {cls.ca}")
     print(f"  shift acts freely on nonidentity elements: {cls.free_shift}")
     print(f"  shift has a nonidentity fixed point: {cls.theta_fixed}")
@@ -155,8 +160,8 @@ def cmd_orbits(args) -> int:
             cls = taxonomy.classify(args.n, args.k, args.l)
             if cls.finite:
                 what = f"G_{cls.n}({cls.k},{cls.l}) is finite"
-                if cls.order is not None:
-                    what += f" of order {taxonomy.order_formula(cls.n)}"
+                if cls.order_formula is not None:
+                    what += f" of order {cls.order_formula}"
                 print(f"{what}; raise --max-cosets")
         return EXIT_UNDECIDED
     if args.json:
@@ -194,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="run coset enumeration on a presentation file")
     p.add_argument("--file", required=True)
-    p.add_argument("--max-cosets", type=int, default=1_000_000)
+    p.add_argument("--max-cosets", type=int, default=enum.DEFAULT_MAX_COSETS)
     p.add_argument("--table", action="store_true", help="print the coset table")
     p.set_defaults(func=cmd_enumerate)
 
@@ -203,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--word", help="defining word in x<i>/X<i> tokens")
-    p.add_argument("--max-cosets", type=int, default=1_000_000)
+    p.add_argument("--max-cosets", type=int, default=enum.DEFAULT_MAX_COSETS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_orbits)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from .enumerate import (
+    DEFAULT_MAX_COSETS,
     CosetTable,
     FinitePresentation,
     generator_permutation,
@@ -100,7 +101,9 @@ def orbit_report(table: CosetTable, gen: str, n: int) -> OrbitReport:
     )
 
 
-def shift_orbits(n: int, w: Word, max_cosets: int = 1_000_000) -> OrbitReport:
+def shift_orbits(
+    n: int, w: Word, max_cosets: int = DEFAULT_MAX_COSETS
+) -> OrbitReport:
     """Enumerate E/<a> for the extension of C_n by G_n(w) and analyze orbits.
 
     Fixed points of a^j correspond exactly to fixed points of the j-th

@@ -21,12 +21,15 @@ each run's net exponent reduced into (-m/2, m/2] given g^m (so
 neighbours merge or cancel.  For each generator g, the shortest relator
 whose runs are one g^m (or G^m) is kept as a power relator, as that
 reduced word, and every other relator becomes its runs modulo those.
-Each step multiplies a relator by a conjugate of g^{+-m} or cancels a
-letter against its inverse, which leaves the group and the subgroup
-unchanged; since standardized tables are canonical, the tables returned
-do not change either, only the work spent reaching them.  Completed
-tables are audited against the caller's relators, never the shortened
-ones.
+While another relator is left as a single run, a shorter power of g or
+a power of a generator with none, the pass repeats on its own output:
+a^6 beside a^4 ends as a^2.  So the reduced form is canonical, and
+reducing it again gives it back.  Each step multiplies a relator by a
+conjugate of g^{+-m} or cancels a letter against its inverse, which
+leaves the group and the subgroup unchanged; since standardized tables
+are canonical, the tables returned do not change either, only the work
+spent reaching them.  Completed tables are audited against the caller's
+relators, never the shortened ones.
 
 The power relators kept go to HLT as a list of their own, and are
 scanned at each coset before the others, for deductions and
@@ -67,10 +70,10 @@ below it to no effect, so the run defines what a restart does.  If it
 does not, the run gives up as it stands, uncompressed.
 
 Before any of that, ``relabel`` picks new generators for presentations
-on two generators g and x in which g alone has a power relator g^m,
-every other relator has an x and every subgroup generator is a power of
-g, such as the extension
-(a, x : a^n, W) over <a>.  In new generators b and y with g = b^beta
+on two generators g and x in which g alone has a power relator g^m and
+every subgroup generator is a power of g, such as the extension
+(a, x : a^n, W) over <a>; in the reduced form every other relator then
+has an x.  In new generators b and y with g = b^beta
 (beta a unit mod m) and x = y b^{-d}, the other relators are rewritten
 from their (x-sign, g-run) syllables by integer arithmetic, and the form
 with the fewest letters is enumerated: G_12(9,8)'s W = x a^-3 x A x a^4
@@ -78,7 +81,9 @@ becomes x a x A x (beta = 5, d = -4).  This changes the generating set,
 not the group or the subgroup, so the table is the same, but the work
 is not: over the 297 finite extensions with n <= 12, HLT defines 280,304
 cosets against 1,598,277 for the caller's form (1.09 against 6.24 per
-unit of index).
+unit of index).  The form picked is reduced again, so a relator left
+with no b, such as G_6(2,4)'s y y y, becomes y's power relator, and
+``relabel`` gives the form it returns back unchanged.
 The columns of g and x are then rebuilt from those of b and y as whole
 columns, g = b^beta and G = B^beta by repeated squaring and x = y b^{-d}
 and X = b^d Y by composition, with entry 0 still meaning undefined, so
@@ -148,6 +153,10 @@ _TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?")
 # may spell out; a short power token like ``a^1000000000`` would otherwise
 # ask for gigabytes.
 MAX_WORD_LENGTH = 1_000_000
+
+# The coset cap when the caller gives none: ``todd_coxeter``,
+# ``shift_orbits`` and the CLI's ``--max-cosets`` all default to it.
+DEFAULT_MAX_COSETS = 1_000_000
 
 
 def _parse_letters(
@@ -582,41 +591,48 @@ def _reduced(e: int, m: int) -> int:
 def _reduce_powers(
     relators: Sequence[WordInts],
 ) -> Tuple[Tuple[WordInts, ...], Tuple[WordInts, ...]]:
-    """Shorten relators modulo the power relators among them.
+    """Shorten relators modulo the power relators among them, to a fixpoint.
 
     Returns (powers, others).  For each generator g, the shortest relator
     that freely reduces to one letter repeated (g^m or G^m) is kept as
     that reduced word, since the enumerator reads a power from its first
     letter, and ``powers`` holds these in relator order.  ``others``
     holds every other relator as its ``_runs`` modulo the powers, and
-    drops those that vanish.  Every step multiplies a relator by a
-    conjugate of g^m or G^m, or cancels a letter against its inverse, so
-    the presented group is unchanged.  A longer power of a generator
-    that has one stays in ``others``: given a^4, a^6 becomes a^2.
+    drops those that vanish.  While one of ``others`` is a single run,
+    which is a power shorter than the one kept or of a generator with
+    none, the pass repeats on ``powers + others``: a^6 beside a^4 ends as
+    a^2, and x a^5 x given a^5 as the power relator x^2.  So the form
+    returned is its own reduced form.  Every step multiplies a relator by
+    a conjugate of g^m or G^m, or cancels a letter against its inverse,
+    so the presented group is unchanged.
     """
-    shortest: Dict[int, Tuple[int, WordInts]] = {}  # generator -> (index, power)
-    for i, w in enumerate(relators):
-        if w.count(w[0]) != len(w):  # not one letter repeated: read its runs
-            runs = _runs(w, {})
-            if len(runs) != 1:
+    while True:
+        shortest: Dict[int, Tuple[int, WordInts]] = {}  # generator -> (index, power)
+        for i, w in enumerate(relators):
+            if w.count(w[0]) != len(w):  # not one letter repeated: read its runs
+                runs = _runs(w, {})
+                if len(runs) != 1:
+                    continue
+                g, e = runs[0]
+                w = (g if e > 0 else -g,) * abs(e)
+            g = abs(w[0])
+            if g not in shortest or len(w) < len(shortest[g][1]):
+                shortest[g] = (i, w)
+        period = {g: len(w) for g, (_, w) in shortest.items()}
+        kept = {i for i, _ in shortest.values()}
+        others: List[WordInts] = []
+        for i, w in enumerate(relators):
+            if i in kept:
                 continue
-            g, e = runs[0]
-            w = (g if e > 0 else -g,) * abs(e)
-        g = abs(w[0])
-        if g not in shortest or len(w) < len(shortest[g][1]):
-            shortest[g] = (i, w)
-    period = {g: len(w) for g, (_, w) in shortest.items()}
-    kept = {i for i, _ in shortest.values()}
-    others: List[WordInts] = []
-    for i, w in enumerate(relators):
-        if i in kept:
-            continue
-        rel: List[int] = []
-        for g, e in _runs(w, period):
-            rel += [g] * e if e > 0 else [-g] * -e
-        if rel:
-            others.append(tuple(rel))
-    return tuple(w for _, w in sorted(shortest.values())), tuple(others)
+            rel: List[int] = []
+            for g, e in _runs(w, period):
+                rel += [g] * e if e > 0 else [-g] * -e
+            if rel:
+                others.append(tuple(rel))
+        powers = tuple(w for _, w in sorted(shortest.values()))
+        if all(w.count(w[0]) != len(w) for w in others):
+            return powers, tuple(others)
+        relators = powers + tuple(others)
 
 
 def _runs(word: WordInts, period: Dict[int, int]) -> List[Tuple[int, int]]:
@@ -671,16 +687,19 @@ def relabel(pres: FinitePresentation):
     ``todd_coxeter`` enumerates.  Its generators b and y keep the names
     and places of the caller's g (generator number ``power``, 1-based)
     and x.  The relators are shortened already: ``powers`` and
-    ``relators`` are ``_reduce_powers(pres.relators)`` when the caller's
-    form is kept (power 0, beta 1, d 0, and the caller's subgroup), and
-    otherwise the one power relator and words with every g-run reduced
-    into (-m/2, m/2].  No presentation is built, so letters taken from
-    the caller's checked words are not checked again.
+    ``relators`` are ``_reduce_powers`` of the caller's relators when the
+    caller's form is kept (power 0, beta 1, d 0, and the caller's
+    subgroup), and otherwise of the rewritten ones, so a rewritten
+    relator with no g left, such as G_6(2,4)'s W becoming y y y, is y's
+    power relator.  Either way ``relabel`` gives the form it returns
+    back unchanged.  No presentation is built, so letters taken from the
+    caller's checked words are not checked again.
 
     Applies to a presentation on two generators g and x in which, once
     relators are shortened by ``_reduce_powers``, g alone has a power
-    relator g^m (or G^m), every other relator has an x, and every
-    subgroup generator is a power of g.
+    relator g^m (or G^m) and every subgroup generator is a power of g;
+    every other relator then has an x, since a relator on g alone
+    reduces to a power of g.
     Every other relator is read as cyclic syllables x^{s_i} g^{p_i}
     (rotated to begin at an x); in the new generators the run after
     x^{s_i} is ``beta p_i + d ([s_{i+1} = -1] - [s_i = +1])``, reduced
@@ -695,10 +714,6 @@ def relabel(pres: FinitePresentation):
     the d does not zero (``_units_near``) and stop at the first r above
     the best so far, so the search costs about the best length, not m.
     A subgroup generator g^e becomes b^{gcd(e, m)}, of the same subgroup.
-    Applying ``relabel`` to the form returned gives it back unchanged,
-    unless a relator of that form is a power itself: a rewritten relator
-    with no g left, such as G_3(1,2)'s W becoming y^3, or a power of g
-    left among the others, such as a^2 beside a^4.
     """
     powers, rels = _reduce_powers(pres.relators)
     unchanged = (powers, rels, pres.subgroup, 0, 1, 0)
@@ -707,8 +722,6 @@ def relabel(pres: FinitePresentation):
     g, m = abs(powers[0][0]), len(powers[0])
     x = 3 - g
     if any(abs(c) != g for w in pres.subgroup for c in w):
-        return unchanged
-    if any(x not in w and -x not in w for w in rels):  # such as a^2 beside a^4
         return unchanged
     words = [_syllables(w, x) for w in rels]
     runs = [(p, c) for syllables in words for _, p, c in syllables]
@@ -739,7 +752,7 @@ def relabel(pres: FinitePresentation):
             word += [s * x] + ([g] * r if r > 0 else [-g] * -r)
         relators.append(tuple(word))
     subgroup = tuple((g,) * gcd(len(w) - 2 * w.count(-g), m) for w in pres.subgroup)
-    return powers, tuple(relators), subgroup, g, beta, d
+    return (*_reduce_powers(powers + tuple(relators)), subgroup, g, beta, d)
 
 
 def _units_near(q: int, m: int) -> Iterable[Tuple[int, int]]:
@@ -843,7 +856,9 @@ def _caller_columns(cols: List[List[int]], power: int, beta: int, d: int):
     return out
 
 
-def todd_coxeter(pres: FinitePresentation, max_cosets: int = 1_000_000) -> CosetTable:
+def todd_coxeter(
+    pres: FinitePresentation, max_cosets: int = DEFAULT_MAX_COSETS
+) -> CosetTable:
     """Enumerate cosets of the presentation's subgroup.
 
     Returns a complete standardized table whose count is the subgroup

@@ -50,9 +50,9 @@ def conditions(n: int, k: int, l: int) -> Conditions:
 class Classification:
     """Verdict record for one parameter triple.
 
-    ``order`` is populated only when a closed formula applies: 3 for
-    n = 1 and 2^n - (-1)^n in the condition C finite cases; finite groups
-    in the condition B branch get their order from coset enumeration.
+    ``order`` is derived only when a closed formula applies: 3 for n = 1
+    and 2^n - (-1)^n in the condition C finite cases; finite groups in the
+    condition B branch get their order from coset enumeration.
     """
 
     n: int
@@ -61,11 +61,30 @@ class Classification:
     d: int
     conditions: Conditions
     finite: bool
-    order: Optional[int]
     ca: bool
     exceptional_n18: bool
     branch: str
     structure_note: str
+
+    @property
+    def order_formula(self) -> Optional[str]:
+        """The closed order formula 2^n - (-1)^n written out, or None.
+
+        The decimal order of G_n(0,1) has about 0.3 n digits, so it passes
+        Python's int-to-str digit limit (4,300 by default) near n = 14,300;
+        the formula prints at every n.
+        """
+        if self.branch in ("n=1", "C, A fails"):  # 2^1 + 1 = 3 at n = 1
+            return f"2^{self.n} - (-1)^{self.n}"
+        return None
+
+    @property
+    def order(self) -> Optional[int]:
+        """The order where ``order_formula`` gives one, built only when read.
+
+        At n = 10^9 the int takes 125 MB.
+        """
+        return None if self.order_formula is None else 2 ** self.n - (-1) ** self.n
 
     @property
     def free_shift(self) -> bool:
@@ -96,7 +115,7 @@ _VERDICTS = {
     ),
     "C, A fails": (
         True, False,
-        "{shape} of order {order}; the shift fixes a subgroup of order three",
+        "{shape} of order 2^{n} - (-1)^{n}; the shift fixes a subgroup of order three",
     ),
     "C, A holds": (
         False, False,
@@ -114,16 +133,6 @@ _VERDICTS = {
         " shift acts freely",
     ),
 }
-
-
-def order_formula(n: int) -> str:
-    """The closed order formula 2^n - (-1)^n, written out for this n.
-
-    The decimal order of G_n(0,1) has about 0.3 n digits, so it passes
-    Python's int-to-str digit limit (4,300 by default) near n = 14,300;
-    the formula prints at every n.
-    """
-    return f"2^{n} - (-1)^{n}"
 
 
 def classify(n: int, k: int, l: int) -> Classification:
@@ -150,7 +159,6 @@ def classify(n: int, k: int, l: int) -> Classification:
     else:
         branch = "neither B nor C"
 
-    order = None
     if branch == "gcd":
         sub = classify(n // d, k // d, l // d)
         finite, ca = False, sub.ca
@@ -161,15 +169,10 @@ def classify(n: int, k: int, l: int) -> Classification:
         )
     else:
         finite, ca, note = _VERDICTS[branch]
-    if branch == "n=1":
-        order = 3
-    elif branch == "C, A fails":
-        order = 2 ** n - (-1) ** n
-        shape = "cyclic" if n % 3 != 0 else "metacyclic"
-        note = note.format(shape=shape, order=order_formula(n))
+    if branch == "C, A fails":
+        note = note.format(shape="cyclic" if n % 3 else "metacyclic", n=n)
     return Classification(
-        n, k, l, d, cond, finite, order, ca, branch == "exceptional n=18",
-        branch, note,
+        n, k, l, d, cond, finite, ca, branch == "exceptional n=18", branch, note
     )
 
 

@@ -9,7 +9,7 @@ whitespace-separated token list: lowercase ``x3`` is x_3, uppercase
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Tuple
 
 Letter = Tuple[int, int]  # (generator index, sign +1 or -1)
 
@@ -132,24 +132,6 @@ def free_reduce(w: Word) -> Word:
     return Word(w.n, stack)
 
 
-def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
-    """Cyclically reduce ``w``.
-
-    Returns ``(core, conjugator)`` with core cyclically reduced and
-    ``conjugator * core * conjugator^{-1}`` freely equal to ``w``.
-    """
-    letters = list(free_reduce(w).letters)
-    prefix: list[Letter] = []
-    while (
-        len(letters) >= 2
-        and letters[0][0] == letters[-1][0]
-        and letters[0][1] == -letters[-1][1]
-    ):
-        prefix.append(letters[0])
-        letters = letters[1:-1]
-    return Word(w.n, letters), Word(w.n, prefix)
-
-
 def shift(w: Word, k: int) -> Word:
     """Apply the shift k times: every index i becomes (i + k) mod n.
 
@@ -163,32 +145,3 @@ def shift(w: Word, k: int) -> Word:
 def invert(w: Word) -> Word:
     """The inverse word: reversed letters with negated signs."""
     return Word(w.n, [(i, -s) for i, s in reversed(w.letters)])
-
-
-def rotate(w: Word, r: int) -> Word:
-    """Cyclic permutation moving the first r letters to the end."""
-    letters = w.letters
-    if not letters:
-        return w
-    r %= len(letters)
-    return Word(w.n, letters[r:] + letters[:r])
-
-
-def is_cyclic_perm(w1: Word, w2: Word) -> Optional[int]:
-    """Rotation amount r with rotate(w1, r) == w2, or None.
-
-    Meant for cyclically reduced inputs, where cyclic permutation
-    coincides with conjugacy.
-
-    >>> is_cyclic_perm(parse_word("x0 x1 x2", 3), parse_word("x1 x2 x0", 3))
-    1
-    """
-    if w1.n != w2.n or len(w1.letters) != len(w2.letters):
-        return None
-    a, b = w1.letters, w2.letters
-    if not a:
-        return 0
-    for r in range(len(a)):
-        if a[r:] + a[:r] == b:
-            return r
-    return None

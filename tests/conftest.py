@@ -13,7 +13,13 @@ import random
 from collections import deque
 from typing import List, Tuple
 
-from cycpres.enumerate import CosetTable, _reduce_powers, _scan_list, audit_table
+from cycpres.enumerate import (
+    DEFAULT_MAX_COSETS,
+    CosetTable,
+    _reduce_powers,
+    _scan_list,
+    audit_table,
+)
 from cycpres.relative import RelativeWord
 from cycpres.words import Word, concat, free_reduce, invert
 
@@ -299,7 +305,7 @@ class RestartEnumerator:
         return "complete", self.defined, tuple(rows)
 
 
-def restart_todd_coxeter(pres, max_cosets: int = 1_000_000) -> CosetTable:
+def restart_todd_coxeter(pres, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
     """``todd_coxeter`` through the restart reference; complete tables audited."""
     status, defined, rows = RestartEnumerator(pres, max_cosets).table()
     table = CosetTable(pres.generators, rows, status, len(rows), defined)

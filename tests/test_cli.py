@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -226,3 +227,22 @@ def test_invalid_input_prints_one_error_line_and_exits_2(
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
 
+
+
+def test_classify_at_a_ten_digit_n_builds_no_order(capsys):
+    # the order 2^n - (-1)^n at n = 10^9 is a 125 MB int: classify derives
+    # it only when read, and both reports print its formula instead
+    argv = ("classify", "--n", str(10**9), "--k", "0", "--l", "1")
+    tracemalloc.start()
+    try:
+        cls = classify(10**9, 0, 1)
+        code, out, _ = run(capsys, *argv)
+        code_json, out_json, _ = run(capsys, *argv, "--json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    formula = "2^1000000000 - (-1)^1000000000"
+    assert cls.finite and cls.order_formula == formula
+    assert code == 0 and f"finite: True of order {formula}" in out
+    assert code_json == 0 and json.loads(out_json)["order"] == formula
+    assert peak < 2**20, peak

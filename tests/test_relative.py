@@ -17,7 +17,7 @@ from cycpres.relative import (
     to_relative,
     valid_retractions,
 )
-from cycpres.words import Word, parse_word, rotate, shift
+from cycpres.words import Word, parse_word, shift
 
 from conftest import (
     fp_reduce,

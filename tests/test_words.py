@@ -6,12 +6,9 @@ from hypothesis import given, strategies as st
 from cycpres.words import (
     Word,
     concat,
-    cyclic_reduce,
     free_reduce,
     invert,
-    is_cyclic_perm,
     parse_word,
-    rotate,
     shift,
 )
 
@@ -84,33 +81,16 @@ def test_free_reduce_confluent_on_random_orders():
 
 # -- cyclic reduction -------------------------------------------------------
 
-def test_cyclic_reduce_examples():
-    core, conj = cyclic_reduce(parse_word("x1 x0 X1", 3))
-    assert core == parse_word("x0", 3)
-    assert conj == parse_word("x1", 3)
-
-    w = parse_word("x0 x1 x2", 3)
-    assert cyclic_reduce(w) == (w, Word(3))
-
-    assert cyclic_reduce(parse_word("x0 X0", 2)) == (Word(2), Word(2))
-
-
-def test_cyclic_reduce_conjugation_identity():
-    rng = random.Random(5)
-    for _ in range(300):
-        w = random_word(rng, rng.randint(1, 6))
-        core, conj = cyclic_reduce(w)
-        assert core.is_cyclically_reduced
-        assert free_reduce(concat(conj, core, invert(conj))) == free_reduce(w)
-
-
 def test_cyclic_core_is_minimal_conjugate():
-    # brute force over iterated single-letter conjugations
+    # a freely reduced word is cyclically reduced exactly when no conjugate
+    # is shorter: brute force over iterated single-letter conjugations
     rng = random.Random(31)
+    cyclic = 0
     for _ in range(60):
-        w = random_word(rng, rng.randint(1, 5), max_len=8)
-        core, _ = cyclic_reduce(w)
-        assert len(core) == min_conjugate_length(w)
+        w = free_reduce(random_word(rng, rng.randint(1, 5), max_len=8))
+        assert w.is_cyclically_reduced == (len(w) == min_conjugate_length(w)), w
+        cyclic += w.is_cyclically_reduced
+    assert 0 < cyclic < 60
 
 
 # -- shift ------------------------------------------------------------------
@@ -141,18 +121,3 @@ def test_invert_kills_word(w):
 
 def test_invert_example():
     assert invert(parse_word("x0 x1", 3)) == parse_word("X1 X0", 3)
-
-
-# -- cyclic permutations ------------------------------------------------------
-
-def test_is_cyclic_perm_examples():
-    assert is_cyclic_perm(parse_word("x0 x1 x2", 3), parse_word("x1 x2 x0", 3)) == 1
-    assert is_cyclic_perm(parse_word("x0 x1", 3), parse_word("x0 x2", 3)) is None
-    assert is_cyclic_perm(Word(4), Word(4)) == 0
-
-
-@given(words(), st.integers(0, 20))
-def test_is_cyclic_perm_finds_rotations(w, r):
-    got = is_cyclic_perm(w, rotate(w, r))
-    assert got is not None
-    assert rotate(w, got) == rotate(w, r)
