@@ -600,8 +600,16 @@ TWO_POWERS_OF_A = FinitePresentation.make(
         dihedral_pres(6),  # two generators with power relators
         FinitePresentation.make(("a", "x"), ("x a^3 x A^3 x",)),  # none
         FinitePresentation.make(("a", "x"), ("a^7", "x a^3 x a^3"), ("x",)),
+        # a^6 and a^4 end as a^2, and no relabelling shortens x x a
+        FinitePresentation.make(("a", "x"), ("a^6", "a^4", "x x a"), ("a",)),
     ],
-    ids=["three generators", "two powers", "no power", "subgroup with x"],
+    ids=[
+        "three generators",
+        "two powers",
+        "no power",
+        "subgroup with x",
+        "a power of a among the others",
+    ],
 )
 def test_relabel_leaves_other_presentations_alone(pres):
     assert relabel(pres) == (*_reduce_powers(pres.relators), pres.subgroup, 0, 1, 0)
@@ -885,6 +893,20 @@ def test_audit_of_squared_runs_names_the_first_coset_a_letter_trace_does(gen):
     message = rf"^relator {first[0]} does not close at coset {first[1]}$"
     with pytest.raises(ValueError, match=message):
         audit_table(bad, pres)
+
+
+def test_a_relabelled_form_is_already_shortened():
+    # todd_coxeter scans a form relabel moved without reducing it again
+    moved = 0
+    for n in range(2, 13):
+        for k in range(n):
+            for l in range(n):
+                if classify(n, k, l).finite:
+                    powers, relators, _, power, _, _ = relabel(extension(n, k, l))
+                    if power:
+                        assert _reduce_powers(powers + relators) == (powers, relators)
+                        moved += 1
+    assert moved > 0
 
 
 # -- relabel pinned: every form, and the three-syllable search at n = 10^6 ------
