@@ -106,11 +106,20 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Print each triple's report as it is classified, holding none of them.
+
+    The JSON output is the bytes ``json.dumps`` gives for the whole
+    ``{"command", "nmax", "triples"}`` object, written one triple at a time.
+    """
     if args.nmax < 1:
         raise ValueError("--nmax must be positive")
-    reports = [_classification_report(c) for c in taxonomy.sweep(args.nmax)]
+    reports = map(_classification_report, taxonomy.sweep(args.nmax))
     if args.json:
-        print(json.dumps({"command": "sweep", "nmax": args.nmax, "triples": reports}))
+        head = json.dumps({"command": "sweep", "nmax": args.nmax, "triples": []})
+        print(head[:-2], end="")  # up to the open bracket of "triples"
+        for i, rep in enumerate(reports):
+            print(", " if i else "", json.dumps(rep), sep="", end="")
+        print("]}")
         return EXIT_OK
     for rep in reports:
         flags = []
@@ -147,6 +156,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_orbits(args) -> int:
     if args.word is not None:
+        if args.k is not None or args.l is not None:
+            raise ValueError("give either --word or --k and --l, not both")
         w = parse_word(args.word, args.n)
     elif args.k is None or args.l is None:
         raise ValueError("need either --word or both --k and --l")

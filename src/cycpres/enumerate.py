@@ -57,14 +57,18 @@ conjugates have the same normal closure, so again only the work
 changes: a deduction that a rotation gives at once no longer waits for
 the scan from the relator's first letter.
 
-Lookahead and the final sweep are one pass, ``_sweep``, that scans
-without defining: the power relators at every live coset that HLT's
-records do not hold, and the other relators from a given coset on.
-Below the coset HLT was working on at the cap, every live row is full
-and has the other relators closed, and coincidences keep both, so
-lookahead scans them from there.  If it frees enough, the interrupted
-pass's records are dropped, the table is compressed so that HLT can go
-on, and HLT starts again at coset 1 with no records, scanning the other
+One routine, ``_pass``, walks the live cosets from coset 1 for every
+pass of the run: each HLT pass, the lookahead and the closing sweep.  At
+each coset it scans the power relators that its records do not hold,
+then the other relators from a given coset on; an HLT pass also scans
+the subgroup words first, fills gaps and fills each row, and the other
+two define nothing.  Below the coset HLT was working on at the cap,
+every live row is full and has the other relators closed, and
+coincidences keep both, so lookahead scans them from there, and the
+closing sweep, which follows a pass that processed every coset, scans
+none of them.  If lookahead frees enough, the interrupted pass's
+records are dropped, the table is compressed so that HLT can go on, and
+HLT starts again at coset 1 with no records, scanning the other
 relators only from that point, renumbered; a restart would scan them
 below it to no effect, so the run defines what a restart does.  If it
 does not, the run gives up as it stands, uncompressed.
@@ -94,8 +98,8 @@ column, indexed by coset, beside the union-find list.  Scans and HLT's
 row fill define cosets through one routine, which appends an empty
 entry to each column, and compression rewrites the columns in place.
 One scan routine serves every pass: it runs a list of words from one
-coset, filling gaps with new cosets in HLT and subgroup scans and only
-applying deductions and coincidences in ``_sweep``.
+coset, filling gaps with new cosets in an HLT pass and only applying
+deductions and coincidences in lookahead and the closing sweep.
 
 A finished table is built column by column, after the enumerator is
 dropped: once HLT ends, the union-find and the scan lists go, and a
@@ -353,14 +357,17 @@ class _Enumerator:
     the other relators as ``rels``; each word also carries its fill limit
     (see ``_scan``), for g^m the letters ``rels`` read.  Each HLT pass
     keeps one record per power relator, the cosets whose g-cycle is
-    known closed (a g^m = a).  At each live coset it scans the power
-    relators whose records do not hold it and then ``rels``; the row
-    fill then grows the g-cycles.  A closed path stays closed under
-    definitions and coincidences, so a record stays true.  Every pass
-    starts at coset 1, and below ``start``, where every live row is full
-    and has ``rels`` closed, it scans only the power relators.  At the
-    cap, ``_sweep`` is the lookahead, and once HLT ends it proves the
-    power relators closed.
+    known closed (a g^m = a).  ``_pass`` runs every pass: at each live
+    coset it scans the power relators whose records do not hold it and
+    then ``rels``; in an HLT pass the row fill then grows the g-cycles.
+    A closed path stays closed under definitions and coincidences, so a
+    record stays true.  Every pass starts at coset 1, and below
+    ``start``, where every live row is full and has ``rels`` closed, it
+    scans only the power relators.  Without fill, the same routine is
+    the lookahead at the cap, with the interrupted pass's records, and
+    once HLT ends the closing sweep that proves the power relators
+    closed.  ``_TableFull`` never leaves the class: ``_pass`` catches it
+    and returns the coset it was at.
     """
 
     __slots__ = ("max", "cols", "pairs", "powers", "rels", "subs", "p", "dropped")
@@ -493,78 +500,75 @@ class _Enumerator:
                 break
         return gap
 
-    def _scan_power(self, a: int, reads, record, fill: bool):
-        """Scan the power relator g^m, as ``(word,)``, from live coset a.
-
-        When g^m closes at a and a lives, a's g-cycle is closed and the
-        other cosets on it go into ``record``.
-        """
-        if not self._scan(a, reads, fill) and self.p[a] == a:
-            col = reads[0][0][0]
-            add = record.add
-            c = col[a]
-            while c != a:
-                add(c)
-                c = col[c]
-
     def run(self) -> Optional[List[int]]:
         """Enumerate by HLT with lookahead; None once the table is complete.
 
-        At the cap, lookahead sweeps and the live cosets are listed.  If
-        it freed enough, the interrupted pass's records are dropped and
-        the table is compressed, so that HLT can go on.  Otherwise the run
-        gives up and returns the live cosets in ascending order, its table
-        left as it stands, dead rows and all.
+        Each HLT pass is ``_pass`` with fill.  If it ends, the closing
+        pass proves the power relators closed.  If it hits the cap at
+        coset a, the lookahead pass scans from a and the live cosets are
+        listed.  If it freed enough, the interrupted pass's records are
+        dropped and the table is compressed, so that HLT can go on.
+        Otherwise the run gives up and returns the live cosets in
+        ascending order, its table left as it stands, dead rows and all.
         """
         start = 1  # live cosets below start have rels closed and full rows
-        p, rels = self.p, self.rels
+        p = self.p
         while True:
             # per power relator g^m: its scan, and the cosets on closed g-cycles
             records = [((w,), set()) for w in self.powers]
-            a = 1
-            try:
+            a = self._pass(start, records, True)
+            if a is None:
+                # every live row is full and has rels closed; the power
+                # relators left open are closed, or their cosets merged, here
+                self._pass(len(p), records, False)
+                return None
+            before = sum(1 for c in range(1, len(p)) if p[c] == c)
+            self._pass(a, records, False)
+            live = [c for c in range(1, len(p)) if p[c] == c]
+            if len(live) < self.max and before - len(live) >= max(1, self.max // 100):
+                records = None  # freed before the rows are renumbered
+                self._compress(live)
+                start, live = 1 + bisect_left(live, a), None  # old numbers freed
+                continue
+            return live
+
+    def _pass(self, start: int, records, fill: bool) -> Optional[int]:
+        """One pass over the live cosets from coset 1: HLT, lookahead or closing.
+
+        At each live coset a it scans the power relators whose record in
+        ``records`` does not hold a; when g^m closes at a and a lives,
+        a's g-cycle is closed and the other cosets on it go into the
+        record.  It then scans ``rels`` if a >= ``start``, since below it
+        they are closed.  With ``fill`` set it is an HLT pass: it first
+        scans the subgroup words at coset 1, fills gaps as each word's
+        limit allows, and fills a's row after its scans.  Returns the
+        coset at which the cap was hit, or None.
+        """
+        p, rels = self.p, self.rels
+        a = 1
+        try:
+            if fill:
                 self._scan(1, self.subs, True)
-                while a < len(p):
-                    if p[a] == a:
-                        for reads, record in records:
-                            if a not in record:
-                                self._scan_power(a, reads, record, True)
-                        if a >= start:
-                            self._scan(a, rels, True)
-                    if p[a] == a:
+            while a < len(p):
+                if p[a] == a:
+                    for reads, record in records:
+                        if a in record or self._scan(a, reads, fill) or p[a] != a:
+                            continue
+                        col = reads[0][0][0]
+                        c = col[a]
+                        while c != a:
+                            record.add(c)
+                            c = col[c]
+                    if a >= start:
+                        self._scan(a, rels, fill)
+                    if fill and p[a] == a:
                         for col, inv in self.pairs:
                             if not col[a]:
                                 self._define(col, inv, a)
-                    a += 1
-            except _TableFull:
-                before = sum(1 for c in range(1, len(p)) if p[c] == c)
-                self._sweep(a, records)
-                live = [c for c in range(1, len(p)) if p[c] == c]
-                if len(live) < self.max and before - len(live) >= max(1, self.max // 100):
-                    records = record = None  # freed before the rows are renumbered
-                    self._compress(live)
-                    start, live = 1 + bisect_left(live, a), None  # old numbers freed
-                    continue
-                return live
-            # every live row is full and has rels closed; the power relators
-            # left open are closed, or their cosets merged, here
-            self._sweep(len(p), records)
-            return None
-
-    def _sweep(self, start: int, records):
-        """Scan every live coset without defining, for lookahead or to close HLT.
-
-        A power relator is skipped where its record in ``records`` holds
-        the coset, and ``rels`` below ``start``, where they are closed.
-        """
-        p, rels = self.p, self.rels
-        for a in range(1, len(p)):
-            if p[a] == a:
-                for reads, record in records:
-                    if a not in record:
-                        self._scan_power(a, reads, record, False)
-                if a >= start:
-                    self._scan(a, rels, False)
+                a += 1
+        except _TableFull:
+            return a
+        return None
 
     def _compress(self, live: List[int]):
         """Drop dead rows, renumbering the live cosets ``live`` 1, 2, ... in order.

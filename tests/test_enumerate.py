@@ -783,6 +783,26 @@ def random_two_generator_presentations(seed, count):
         yield pres, rng.randint(40, 2000)
 
 
+def test_a_cap_reached_inside_the_subgroup_scan_matches_restart():
+    # the subgroup word alone fills 10 cosets from coset 1, so at caps 1-9
+    # the first HLT pass stops inside that scan and the run gives up; at
+    # caps 10-15 it compresses once, scans the subgroup word again with
+    # fill and gives up at a second lookahead
+    pres = FinitePresentation.make(
+        ("a", "b"), A5_RELATORS, ("a b a b B A b a B B a b",)
+    )
+    assert relabelled(pres) == pres
+    powers, others = _reduce_powers(pres.relators)
+    enum = _Enumerator(2, powers, others, pres.subgroup, 100)
+    enum._scan(1, enum.subs, True)
+    assert enum.defined == 10
+    for cap in range(1, 16):
+        got = todd_coxeter(pres, max_cosets=cap)
+        ref = RestartEnumerator(pres, cap)
+        assert (got.status, got.defined, got.rows) == ref.table(), cap
+        assert (got.status, ref.lookaheads) == ("overflow", 1 if cap < 10 else 2), cap
+
+
 def test_random_presentations_match_restart():
     # beyond the pinned cases, the one check of HLT's row fill and of a
     # power relator's fill past its limit: in this sample the row fill
