@@ -25,7 +25,7 @@ class CyclicPresentation:
     def __init__(self, n: int, word: Word):
         if word.n != n:
             raise ValueError(f"word modulus {word.n} does not match n={n}")
-        if len(word) == 0:
+        if not word.letters:
             raise ValueError("defining word must be nonempty")
         if not word.is_cyclically_reduced:
             raise ValueError(f"defining word {word!r} is not cyclically reduced")
@@ -69,7 +69,7 @@ def gnkl(n: int, k: int, l: int) -> CyclicPresentation:
     """The presentation P_n(x_0 x_k x_l) defining G_n(k, l)."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    return CyclicPresentation(n, Word(n, [(0, 1), (k % n, 1), (l % n, 1)]))
+    return CyclicPresentation(n, Word(n, [(0, 1), (k, 1), (l, 1)]))
 
 
 def orientability(pres: CyclicPresentation) -> OrientabilityVerdict:

@@ -34,22 +34,29 @@ class RelativeWord:
     """Cyclic-product word x^{e_1}a^{p_1}...x^{e_L}a^{p_L}, stored x-first.
 
     Words with no x-letter cannot be represented (L >= 1 is required).
+    The exponent sums ``epsilon_sum`` (of x) and ``p_sum`` (of a) are
+    computed once, at construction.
 
     >>> W = RelativeWord.from_text("x a^2 x a^2")
-    >>> W.syllables
-    ((1, 2), (1, 2))
+    >>> W.syllables, W.epsilon_sum, W.p_sum
+    (((1, 2), (1, 2)), 2, 4)
     """
 
-    __slots__ = ("syllables",)
+    __slots__ = ("syllables", "epsilon_sum", "p_sum")
 
     def __init__(self, syllables: Iterable[Syllable]):
-        syl = tuple((int(e), int(p)) for e, p in syllables)
+        syl = tuple([(int(e), int(p)) for e, p in syllables])
         if not syl:
             raise ValueError("a relative word needs at least one x syllable")
-        for e, _ in syl:
+        eps = total = 0
+        for e, p in syl:
             if e not in (1, -1):
                 raise ValueError(f"x-exponent must be +1 or -1, got {e}")
+            eps += e
+            total += p
         self.syllables = syl
+        self.epsilon_sum = eps
+        self.p_sum = total
 
     @classmethod
     def from_text(cls, text: str) -> "RelativeWord":
@@ -64,7 +71,10 @@ class RelativeWord:
             if tok in ("a", "A"):
                 p = 1 if tok == "a" else -1
             elif tok.startswith("a^"):
-                p = int(tok[2:])
+                try:
+                    p = int(tok[2:])
+                except ValueError:  # "a^" or "a^1.5"
+                    raise ValueError(f"bad relative-word token {tok!r}") from None
             else:
                 raise ValueError(f"bad relative-word token {tok!r}")
             if syllables:
@@ -75,14 +85,6 @@ class RelativeWord:
             raise ValueError("a relative word needs at least one x letter")
         syllables[-1][1] += lead
         return cls(syllables)
-
-    @property
-    def epsilon_sum(self) -> int:
-        return sum(e for e, _ in self.syllables)
-
-    @property
-    def p_sum(self) -> int:
-        return sum(p for _, p in self.syllables)
 
     def reduced(self, n: int) -> "RelativeWord":
         """Copy with all a-exponents normalized into [0, n)."""
@@ -153,8 +155,7 @@ def rho(W: RelativeWord, n: int, f: int) -> Word:
     letters = []
     v = 0
     for e, p in W.syllables:
-        u = v if e == 1 else v - f
-        letters.append((u % n, e))
+        letters.append((v if e == 1 else v - f, e))  # Word takes it mod n
         v += e * f + p
     return Word(n, letters)
 
@@ -168,15 +169,13 @@ def to_relative(w: Word, n: int) -> RelativeWord:
     """
     if w.n != n:
         raise ValueError(f"word modulus {w.n} does not match n={n}")
-    if len(w) == 0:
+    letters = w.letters
+    if not letters:
         raise ValueError("cannot convert the empty word")
     if not w.is_cyclically_reduced:
         raise ValueError(f"{w!r} is not cyclically reduced")
-    idx = [i for i, _ in w.letters]
-    sgn = [s for _, s in w.letters]
-    L = len(idx)
     return RelativeWord(
-        (sgn[j], idx[(j + 1) % L] - idx[j]) for j in range(L)
+        (s, j - i) for (i, s), (j, _) in zip(letters, letters[1:] + letters[:1])
     )
 
 

@@ -2,18 +2,17 @@
 
 Generator indices are taken modulo n throughout, and the shift is the
 automorphism sending x_i to x_{i+1}.  The text form of a word is a
-whitespace-separated token list: lowercase ``x3`` is x_3, uppercase
-``X3`` is x_3^{-1}, so ``x0 x1 X2`` denotes x_0 x_1 x_2^{-1}.
+whitespace-separated token list.  Each token is ``x`` or ``X`` followed by
+decimal digits (``str.isdecimal``, so any Unicode decimal digit counts):
+lowercase ``x3`` is x_3, uppercase ``X3`` is x_3^{-1}, so ``x0 x1 X2``
+denotes x_0 x_1 x_2^{-1}.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator, Tuple
 
 Letter = Tuple[int, int]  # (generator index, sign +1 or -1)
-
-_TOKEN = re.compile(r"([xX])(\d+)")
 
 
 class Word:
@@ -70,20 +69,21 @@ class Word:
     def is_reduced(self) -> bool:
         """True when no adjacent pair of letters cancels."""
         letters = self.letters
-        return all(
-            not (a[0] == b[0] and a[1] == -b[1])
-            for a, b in zip(letters, letters[1:])
-        )
+        return _none_cancel(zip(letters, letters[1:]))
 
     @property
     def is_cyclically_reduced(self) -> bool:
         """True when reduced and the first/last letters do not cancel."""
-        if not self.is_reduced:
+        letters = self.letters
+        return _none_cancel(zip(letters, letters[1:] + letters[:1]))
+
+
+def _none_cancel(pairs: Iterable[Tuple[Letter, Letter]]) -> bool:
+    """True when no pair (x_i^s, x_j^t) has i == j and s == -t."""
+    for (i, s), (j, t) in pairs:
+        if i == j and s == -t:
             return False
-        if len(self.letters) < 2:
-            return True
-        first, last = self.letters[0], self.letters[-1]
-        return not (first[0] == last[0] and first[1] == -last[1])
+    return True
 
 
 def parse_word(text: str, n: int) -> Word:
@@ -94,13 +94,13 @@ def parse_word(text: str, n: int) -> Word:
     """
     letters = []
     for tok in text.split():
-        m = _TOKEN.fullmatch(tok)
-        if m is None:
+        head, digits = tok[0], tok[1:]
+        if head not in "xX" or not digits.isdecimal():
             raise ValueError(f"bad word token {tok!r}")
-        idx = int(m.group(2))
+        idx = int(digits)
         if idx >= n:
             raise ValueError(f"generator index {idx} out of range for n={n}")
-        letters.append((idx, 1 if m.group(1) == "x" else -1))
+        letters.append((idx, 1 if head == "x" else -1))
     return Word(n, letters)
 
 

@@ -226,14 +226,19 @@ def test_orbits_needs_word_or_triple(capsys):
         (("sweep", "--nmax", "0"), "--nmax must be positive"),
         (("orbits", "--n", "5", "--word", "x0 X0"), "not cyclically reduced"),
         (("rewrite", "--n", "3", "--f", "0", "--word", "q"), "token"),
+        (("rewrite", "--n", "5", "--f", "0", "--word", "x a^"),
+         "bad relative-word token 'a^'"),
+        (("rewrite", "--n", "5", "--f", "0", "--word", "x a^1.5"),
+         "bad relative-word token 'a^1.5'"),
         (("enumerate", "--file", "/nonexistent/x.txt"), "No such file"),
         (("enumerate", "--file", "{k}", "--max-cosets", "-5"), "at least 1"),
         (("orbits", "--n", "5", "--k", "0", "--l", "1", "--max-cosets", "-1"),
          "at least 1"),
         (("orbits", "--n", "5", "--word", "x0 x1 X2", "--k", "0"), "not both"),
     ],
-    ids=["classify", "sweep", "orbits-word", "rewrite", "enumerate",
-         "enumerate-cap", "orbits-cap", "orbits-word-and-triple"],
+    ids=["classify", "sweep", "orbits-word", "rewrite", "rewrite-empty-power",
+         "rewrite-fraction-power", "enumerate", "enumerate-cap", "orbits-cap",
+         "orbits-word-and-triple"],
 )
 def test_invalid_input_prints_one_error_line_and_exits_2(
     tmp_path, capsys, argv, message

@@ -4,6 +4,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cycpres.cyclic import CyclicPresentation, gnkl, orientability
 from cycpres.relative import (
@@ -73,6 +74,37 @@ def test_text_round_trip():
     for _ in range(100):
         W = random_cyclically_reduced_relative_word(rng, rng.randint(2, 9))
         assert R(str(W)) == W
+
+
+@st.composite
+def relative_words(draw, max_n=9, max_len=8):
+    """(W, n, w): a relative word and a word on x_0..x_{n-1}."""
+    n = draw(st.integers(1, max_n))
+    sign = st.sampled_from((1, -1))
+    syllables = draw(st.lists(
+        st.tuples(sign, st.integers(-2 * n, 2 * n)), min_size=1, max_size=max_len
+    ))
+    letters = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), sign), min_size=1, max_size=max_len
+    ))
+    return RelativeWord(syllables), n, Word(n, letters)
+
+
+@given(relative_words(), st.integers(-20, 20))
+def test_stored_exponent_sums_match_the_syllables(drawn, t):
+    W, n, w = drawn
+    built = [W, R(str(W)), R(f"a^{t} {W}"), W.reduced(n), root(W, n)[0]]
+    if w.is_cyclically_reduced:
+        built.append(to_relative(w, n))
+    for reduce in (lambda: change_variable(W, n, t),
+                   lambda: _cyclic_reduce_syllables(W.syllables, n)):
+        try:
+            built.append(reduce())
+        except ValueError:  # only a coefficient is left
+            pass
+    for V in built:
+        assert V.epsilon_sum == sum(e for e, _ in V.syllables)
+        assert V.p_sum == sum(p for _, p in V.syllables)
 
 
 # -- retractions ---------------------------------------------------------------

@@ -46,6 +46,15 @@ def test_parse_rejects_out_of_range_index():
         parse_word("y0", 3)
 
 
+def test_parse_grammar_is_x_then_decimal_digits():
+    # any Unicode decimal digit counts: Arabic-Indic three is x3
+    assert parse_word("x\u0663 X\u0663", 5) == parse_word("x3 X3", 5)
+    # superscript one is a digit but not a decimal one
+    for tok in ("x\u00b9", "x", "X-1", "x+1", "x1x"):
+        with pytest.raises(ValueError, match="bad word token"):
+            parse_word(tok, 5)
+
+
 def test_str_parse_round_trip():
     rng = random.Random(7)
     for _ in range(100):
