@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from operator import index
+from typing import NamedTuple, Optional, Tuple
 
 from .words import Word, concat, free_reduce, invert, shift
 
@@ -22,15 +23,26 @@ class CyclicPresentation:
 
     __slots__ = ("n", "word")
 
-    def __init__(self, n: int, word: Word):
+    def __new__(cls, n: int, word: Word):
         if word.n != n:
             raise ValueError(f"word modulus {word.n} does not match n={n}")
         if not word.letters:
             raise ValueError("defining word must be nonempty")
         if not word.is_cyclically_reduced:
             raise ValueError(f"defining word {word!r} is not cyclically reduced")
-        self.n = n
-        self.word = word
+        return cls._unchecked(word.n, word)
+
+    @classmethod
+    def _unchecked(cls, n: int, word: Word) -> "CyclicPresentation":
+        """The presentation on ``word``, a nonempty cyclically reduced Word
+        of modulus n, checking nothing."""
+        p = object.__new__(cls)
+        p.n = n
+        p.word = word
+        return p
+
+    def __getnewargs__(self):
+        return self.n, self.word
 
     @property
     def relators(self) -> Tuple[Word, ...]:
@@ -51,43 +63,56 @@ class CyclicPresentation:
         return f"P_{self.n}({self.word})"
 
 
-@dataclass(frozen=True)
-class OrientabilityVerdict:
+@dataclass(init=False, repr=False, eq=False)  # for dataclasses.replace and fields
+class OrientabilityVerdict(NamedTuple):
     """Outcome of the orientability test.
 
     When non-orientable and w itself has the half-word shape, ``witness``
     is a pair (u, m) with n = 2m and u * shift^m(u)^{-1} freely equal to
     w.  Non-orientable words that are only a nontrivial cyclic rotation
-    of such a shape carry no witness.
+    of such a shape carry no witness.  Every orientable presentation gets
+    the same verdict object.
     """
 
     orientable: bool
     witness: Optional[Tuple[Word, int]] = None
 
 
+_ORIENTABLE = OrientabilityVerdict(True)
+
+
 def gnkl(n: int, k: int, l: int) -> CyclicPresentation:
     """The presentation P_n(x_0 x_k x_l) defining G_n(k, l)."""
+    n = index(n)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    return CyclicPresentation(n, Word(n, [(0, 1), (k, 1), (l, 1)]))
+    # every letter is positive, so the word is cyclically reduced
+    word = Word._unchecked(n, ((0, 1), (index(k) % n, 1), (index(l) % n, 1)))
+    return CyclicPresentation._unchecked(n, word)
 
 
 def orientability(pres: CyclicPresentation) -> OrientabilityVerdict:
     """Test whether w is a cyclic permutation of an inverted shift of w."""
     w, n = pres.word, pres.n
     a = w.letters
+    sign = a[0][1]
+    for _, s in a:
+        if s != sign:
+            break
+    else:
+        return _ORIENTABLE  # every inverted shift has only the other sign
     b = [(i, -s) for i, s in reversed(a)]
     i0, s0 = b[0]
     if not any(
         s == s0 and a[r:] + a[:r] == tuple(((j + i - i0) % n, t) for j, t in b)
         for r, (i, s) in enumerate(a)
     ):
-        return OrientabilityVerdict(True)
+        return _ORIENTABLE
     witness = None
     length = len(w)
     if n % 2 == 0 and length % 2 == 0:
         m = n // 2
-        u = Word(n, w.letters[: length // 2])
+        u = Word._unchecked(n, w.letters[: length // 2])
         if free_reduce(concat(u, invert(shift(u, m)))) == w:
             witness = (u, m)
     return OrientabilityVerdict(False, witness)

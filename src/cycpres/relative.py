@@ -14,7 +14,9 @@ congruence.  For each such f the kernel is cyclically presented on the
 defining word rho(W, n, f), and conjugation by a realizes the shift on it.
 
 Text grammar: whitespace-separated tokens ``x``, ``X`` (= x^{-1}),
-``a^<int>`` (also ``a`` and ``A`` for a^{+-1}), e.g. ``x a^2 X a^-1``.
+``a`` and ``A`` (= a^{+-1}), and ``a^`` followed by an optional ``-`` and
+decimal digits (``str.isdecimal``, the rule ``parse_word`` uses for
+indices), e.g. ``x a^2 X a^-1``.  So ``a^+2`` and ``a^1_0`` are refused.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, List, Sequence, Tuple
+from operator import index
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .enumerate import FinitePresentation
 from .words import Word
@@ -34,8 +37,9 @@ class RelativeWord:
     """Cyclic-product word x^{e_1}a^{p_1}...x^{e_L}a^{p_L}, stored x-first.
 
     Words with no x-letter cannot be represented (L >= 1 is required).
-    The exponent sums ``epsilon_sum`` (of x) and ``p_sum`` (of a) are
-    computed once, at construction.
+    Exponents must be ints (anything ``operator.index`` accepts); floats
+    and strings raise TypeError.  The exponent sums ``epsilon_sum`` (of x)
+    and ``p_sum`` (of a) are computed once, at construction.
 
     >>> W = RelativeWord.from_text("x a^2 x a^2")
     >>> W.syllables, W.epsilon_sum, W.p_sum
@@ -44,19 +48,34 @@ class RelativeWord:
 
     __slots__ = ("syllables", "epsilon_sum", "p_sum")
 
-    def __init__(self, syllables: Iterable[Syllable]):
-        syl = tuple([(int(e), int(p)) for e, p in syllables])
+    def __new__(cls, syllables: Iterable[Syllable]):
+        syl = tuple([(index(e), index(p)) for e, p in syllables])
         if not syl:
             raise ValueError("a relative word needs at least one x syllable")
-        eps = total = 0
-        for e, p in syl:
+        for e, _ in syl:
             if e not in (1, -1):
                 raise ValueError(f"x-exponent must be +1 or -1, got {e}")
+        return cls._unchecked(syl)
+
+    @classmethod
+    def _unchecked(cls, syllables: Tuple[Syllable, ...]) -> "RelativeWord":
+        """The word on ``syllables`` as given, checking nothing.
+
+        For callers whose data is valid by construction: a nonempty tuple
+        of int pairs (e, p) with e = +-1.  Only the sums are computed.
+        """
+        eps = total = 0
+        for e, p in syllables:
             eps += e
             total += p
-        self.syllables = syl
-        self.epsilon_sum = eps
-        self.p_sum = total
+        W = object.__new__(cls)
+        W.syllables = syllables
+        W.epsilon_sum = eps
+        W.p_sum = total
+        return W
+
+    def __getnewargs__(self):
+        return (self.syllables,)
 
     @classmethod
     def from_text(cls, text: str) -> "RelativeWord":
@@ -70,11 +89,8 @@ class RelativeWord:
                 continue
             if tok in ("a", "A"):
                 p = 1 if tok == "a" else -1
-            elif tok.startswith("a^"):
-                try:
-                    p = int(tok[2:])
-                except ValueError:  # "a^" or "a^1.5"
-                    raise ValueError(f"bad relative-word token {tok!r}") from None
+            elif tok.startswith("a^") and tok[2:].removeprefix("-").isdecimal():
+                p = int(tok[2:])
             else:
                 raise ValueError(f"bad relative-word token {tok!r}")
             if syllables:
@@ -84,7 +100,7 @@ class RelativeWord:
         if not syllables:
             raise ValueError("a relative word needs at least one x letter")
         syllables[-1][1] += lead
-        return cls(syllables)
+        return cls._unchecked(tuple(map(tuple, syllables)))
 
     def reduced(self, n: int) -> "RelativeWord":
         """Copy with all a-exponents normalized into [0, n)."""
@@ -108,8 +124,8 @@ class RelativeWord:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Retraction:
+@dataclass(init=False, repr=False, eq=False)  # for dataclasses.replace and fields
+class Retraction(NamedTuple):
     """A valid retraction exponent f, with the witnessing exponent sums."""
 
     f: int
@@ -131,7 +147,7 @@ def valid_retractions(W: RelativeWord, n: int) -> Tuple[Retraction, ...]:
         return ()
     step = n // g  # the f are f0 + t*step for t < g
     f0 = -p // g * pow(eps // g, -1, step) % step
-    return tuple(Retraction(f, eps, p) for f in range(f0, n, step))
+    return tuple([Retraction(f, eps, p) for f in range(f0, n, step)])
 
 
 def rho(W: RelativeWord, n: int, f: int) -> Word:
@@ -144,6 +160,7 @@ def rho(W: RelativeWord, n: int, f: int) -> Word:
     >>> str(rho(RelativeWord.from_text("x x x"), 3, 1))
     'x0 x1 x2'
     """
+    n, f = index(n), index(f)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     eps, p = W.epsilon_sum, W.p_sum
@@ -155,9 +172,9 @@ def rho(W: RelativeWord, n: int, f: int) -> Word:
     letters = []
     v = 0
     for e, p in W.syllables:
-        letters.append((v if e == 1 else v - f, e))  # Word takes it mod n
+        letters.append(((v if e == 1 else v - f) % n, e))
         v += e * f + p
-    return Word(n, letters)
+    return Word._unchecked(n, tuple(letters))
 
 
 def to_relative(w: Word, n: int) -> RelativeWord:
@@ -174,9 +191,9 @@ def to_relative(w: Word, n: int) -> RelativeWord:
         raise ValueError("cannot convert the empty word")
     if not w.is_cyclically_reduced:
         raise ValueError(f"{w!r} is not cyclically reduced")
-    return RelativeWord(
+    return RelativeWord._unchecked(tuple([
         (s, j - i) for (i, s), (j, _) in zip(letters, letters[1:] + letters[:1])
-    )
+    ]))
 
 
 def root(W: RelativeWord, n: int) -> Tuple[RelativeWord, int]:
@@ -192,7 +209,7 @@ def root(W: RelativeWord, n: int) -> Tuple[RelativeWord, int]:
         if L % cand == 0 and all(syl[i] == syl[i % cand] for i in range(L)):
             period = cand
             break
-    return RelativeWord(W.syllables[:period]), L // period
+    return RelativeWord._unchecked(W.syllables[:period]), L // period
 
 
 def relative_orientable(W: RelativeWord, n: int) -> bool:
@@ -220,7 +237,7 @@ def change_variable(W: RelativeWord, n: int, t: int) -> RelativeWord:
     The result presents the same group over the same coefficient
     subgroup; it is returned cyclically reduced and x-first.
     """
-    syl = W.syllables
+    syl, t = W.syllables, index(t)
     L = len(syl)
     new = []
     for i in range(L):
@@ -259,7 +276,7 @@ def _cyclic_reduce_syllables(syl: Sequence[Syllable], n: int) -> RelativeWord:
             raise ValueError(coefficient)
         carry = out.pop()[1] + out.popleft()[1]
         out[-1][1] += carry
-    return RelativeWord(out)
+    return RelativeWord._unchecked(tuple(map(tuple, out)))
 
 
 def lift(W: RelativeWord, n: int) -> FinitePresentation:

@@ -38,16 +38,19 @@ def conditions(n: int, k: int, l: int) -> Conditions:
     """The divisibility conditions for the triple, mod-n arithmetic."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    k %= n
-    l %= n
+    return _conditions(n, k % n, l % n)
+
+
+def _conditions(n: int, k: int, l: int) -> Conditions:
+    """``conditions`` for a valid n and k, l already reduced mod n."""
     a = n % 3 == 0 and (k + l) % 3 == 0
     b = (k + l) % n == 0 or (2 * k - l) % n == 0 or (2 * l - k) % n == 0
     c = (3 * k) % n == 0 or (3 * l) % n == 0 or (3 * (k - l)) % n == 0
     return Conditions(a, b, c)
 
 
-@dataclass(frozen=True)
-class Classification:
+@dataclass(init=False, repr=False, eq=False)  # for dataclasses.replace and fields
+class Classification(NamedTuple):
     """Verdict record for one parameter triple.
 
     ``order`` is derived only when a closed formula applies: 3 for n = 1
@@ -141,7 +144,7 @@ def classify(n: int, k: int, l: int) -> Classification:
         raise ValueError(f"n must be a positive integer, got {n}")
     k %= n
     l %= n
-    cond = conditions(n, k, l)
+    cond = _conditions(n, k, l)
     d = math.gcd(n, k, l)
 
     if n == 1:

@@ -10,6 +10,7 @@ denotes x_0 x_1 x_2^{-1}.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, Tuple
 
 Letter = Tuple[int, int]  # (generator index, sign +1 or -1)
@@ -18,8 +19,10 @@ Letter = Tuple[int, int]  # (generator index, sign +1 or -1)
 class Word:
     """An immutable (not necessarily reduced) word over x_0..x_{n-1}.
 
-    Indices are normalized into [0, n) at construction.  The empty word
-    is a valid Word and acts as the identity.
+    Indices are normalized into [0, n) at construction.  The modulus,
+    indices and signs must be ints (anything ``operator.index`` accepts,
+    so a bool becomes 0 or 1); floats and strings raise TypeError.  The
+    empty word is a valid Word and acts as the identity.
 
     >>> w = Word(3, [(0, 1), (4, -1)])
     >>> str(w)
@@ -30,16 +33,31 @@ class Word:
 
     __slots__ = ("n", "letters")
 
-    def __init__(self, n: int, letters: Iterable[Letter] = ()):
-        if n < 1:
-            raise ValueError(f"modulus must be a positive integer, got {n}")
+    def __new__(cls, n: int, letters: Iterable[Letter] = ()):
+        n = _modulus(n)
         normalized = []
         for idx, sign in letters:
+            sign = index(sign)
             if sign not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
-            normalized.append((idx % n, sign))
-        self.n = n
-        self.letters = tuple(normalized)
+            normalized.append((index(idx) % n, sign))
+        return cls._unchecked(n, tuple(normalized))
+
+    @classmethod
+    def _unchecked(cls, n: int, letters: Tuple[Letter, ...]) -> "Word":
+        """The word on ``letters`` as given, checking nothing.
+
+        For callers whose data is valid by construction: n a positive int
+        and ``letters`` a tuple of int pairs (i, s) with 0 <= i < n and
+        s = +-1.
+        """
+        w = object.__new__(cls)
+        w.n = n
+        w.letters = letters
+        return w
+
+    def __getnewargs__(self):
+        return self.n, self.letters
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -78,6 +96,13 @@ class Word:
         return _none_cancel(zip(letters, letters[1:] + letters[:1]))
 
 
+def _modulus(n: int) -> int:
+    n = index(n)
+    if n < 1:
+        raise ValueError(f"modulus must be a positive integer, got {n}")
+    return n
+
+
 def _none_cancel(pairs: Iterable[Tuple[Letter, Letter]]) -> bool:
     """True when no pair (x_i^s, x_j^t) has i == j and s == -t."""
     for (i, s), (j, t) in pairs:
@@ -101,7 +126,7 @@ def parse_word(text: str, n: int) -> Word:
         if idx >= n:
             raise ValueError(f"generator index {idx} out of range for n={n}")
         letters.append((idx, 1 if head == "x" else -1))
-    return Word(n, letters)
+    return Word._unchecked(_modulus(n), tuple(letters))
 
 
 def concat(*words: Word) -> Word:
@@ -114,7 +139,7 @@ def concat(*words: Word) -> Word:
         if w.n != n:
             raise ValueError(f"mixed moduli in concat: {n} and {w.n}")
         letters.extend(w.letters)
-    return Word(n, letters)
+    return Word._unchecked(n, tuple(letters))
 
 
 def free_reduce(w: Word) -> Word:
@@ -129,7 +154,7 @@ def free_reduce(w: Word) -> Word:
             stack.pop()
         else:
             stack.append((idx, sign))
-    return Word(w.n, stack)
+    return Word._unchecked(w.n, tuple(stack))
 
 
 def shift(w: Word, k: int) -> Word:
@@ -138,10 +163,10 @@ def shift(w: Word, k: int) -> Word:
     >>> shift(parse_word("x0 x1 x2", 3), 1)
     Word(3, 'x1 x2 x0')
     """
-    n = w.n
-    return Word(n, [((i + k) % n, s) for i, s in w.letters])
+    n, k = w.n, index(k)
+    return Word._unchecked(n, tuple([((i + k) % n, s) for i, s in w.letters]))
 
 
 def invert(w: Word) -> Word:
     """The inverse word: reversed letters with negated signs."""
-    return Word(w.n, [(i, -s) for i, s in reversed(w.letters)])
+    return Word._unchecked(w.n, tuple([(i, -s) for i, s in reversed(w.letters)]))

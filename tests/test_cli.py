@@ -230,6 +230,10 @@ def test_orbits_needs_word_or_triple(capsys):
          "bad relative-word token 'a^'"),
         (("rewrite", "--n", "5", "--f", "0", "--word", "x a^1.5"),
          "bad relative-word token 'a^1.5'"),
+        (("rewrite", "--n", "5", "--f", "0", "--word", "x a^1_0 X"),
+         "bad relative-word token 'a^1_0'"),
+        (("rewrite", "--n", "5", "--f", "0", "--word", "x a^+2 X"),
+         "bad relative-word token 'a^+2'"),
         (("enumerate", "--file", "/nonexistent/x.txt"), "No such file"),
         (("enumerate", "--file", "{k}", "--max-cosets", "-5"), "at least 1"),
         (("orbits", "--n", "5", "--k", "0", "--l", "1", "--max-cosets", "-1"),
@@ -237,7 +241,8 @@ def test_orbits_needs_word_or_triple(capsys):
         (("orbits", "--n", "5", "--word", "x0 x1 X2", "--k", "0"), "not both"),
     ],
     ids=["classify", "sweep", "orbits-word", "rewrite", "rewrite-empty-power",
-         "rewrite-fraction-power", "enumerate", "enumerate-cap", "orbits-cap",
+         "rewrite-fraction-power", "rewrite-underscore-power",
+         "rewrite-plus-power", "enumerate", "enumerate-cap", "orbits-cap",
          "orbits-word-and-triple"],
 )
 def test_invalid_input_prints_one_error_line_and_exits_2(

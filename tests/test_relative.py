@@ -44,6 +44,25 @@ def test_from_text_rotates_leading_coefficient():
     assert R("a^5 x a^2").syllables == ((1, 7),)
 
 
+def test_from_text_power_grammar_is_minus_then_decimal_digits():
+    # after "a^": an optional "-" and str.isdecimal digits, as parse_word
+    # reads indices; any Unicode decimal digit counts
+    assert R("x a^\u0663").syllables == R("x a^3").syllables == ((1, 3),)
+    assert R("x a^-07").syllables == ((1, -7),)
+    for tok in ("a^", "a^-", "a^+2", "a^1_0", "a^1.5", "a^--1", "a^\u00b2", "a^2x"):
+        with pytest.raises(ValueError, match="bad relative-word token"):
+            R("x " + tok)
+
+
+def test_exponents_must_be_ints():
+    for syllable in ((1.9, 2.7), ("1", "-3"), (1, 2.0), (1.0, 2)):
+        with pytest.raises(TypeError):
+            RelativeWord([syllable])
+    W = RelativeWord([(True, True), (-1, False)])
+    assert W.syllables == ((1, 1), (-1, 0)) and (W.epsilon_sum, W.p_sum) == (0, 1)
+    assert all(type(e) is int and type(p) is int for e, p in W.syllables)
+
+
 def test_from_text_rejects_words_without_x():
     with pytest.raises(ValueError):
         R("a^3")

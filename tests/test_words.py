@@ -39,6 +39,24 @@ def test_rejects_bad_sign_and_modulus():
         Word(0, [])
 
 
+def test_indices_and_signs_must_be_ints():
+    # read through operator.index: bools and other int-like values become
+    # plain ints, while floats and strings are refused rather than stored
+    class Two:
+        def __index__(self):
+            return 2
+
+    for letter in ((1.5, 1), ("1", 1), (0, 1.0), (0, "1")):
+        with pytest.raises(TypeError):
+            Word(3, [letter])
+    with pytest.raises(TypeError):
+        Word(3.0, [])
+    w = Word(3, [(True, True), (Two(), -1)])
+    assert w.letters == ((1, 1), (2, -1)) and str(w) == "x1 X2"
+    assert all(type(i) is int and type(s) is int for i, s in w.letters)
+    assert Word(Two(), [(5, 1)]) == Word(2, [(1, 1)])
+
+
 def test_parse_rejects_out_of_range_index():
     with pytest.raises(ValueError):
         parse_word("x5", 5)
