@@ -77,7 +77,11 @@ def orbit_report(table: CosetTable, gen: str, n: int) -> OrbitReport:
     """Orbit statistics of one generator's permutation on a complete table.
 
     The generator is expected to act with order dividing n (it generates
-    the copy of the cyclic group inside the extension).
+    the copy of the cyclic group inside the extension).  Its column is
+    read off as a permutation and walked once into cycle lengths; a^j
+    fixes the points of the cycles whose length divides j, so
+    ``fixed_counts`` is built by one loop over the multiples below n of
+    each cycle length, not by a sum for each j.
     """
     perm = generator_permutation(table, gen)
     lengths = _cycle_lengths(perm)
@@ -86,9 +90,10 @@ def orbit_report(table: CosetTable, gen: str, n: int) -> OrbitReport:
         raise ValueError(
             f"orbit length not dividing {n}: cycle type {sorted(lengths)}"
         )
-    fixed = {
-        j: sum(c * k for c, k in counts.items() if j % c == 0) for j in range(1, n)
-    }
+    fixed = dict.fromkeys(range(1, n), 0)
+    for c, k in counts.items():  # a^j fixes the points of cycles whose length divides j
+        for j in range(c, n, c):
+            fixed[j] += c * k
     if perm[0] != 0:
         raise ValueError("basepoint coset is not fixed by the acting generator")
     counts[1] -= 1  # coset 0 is fixed: the subgroup absorbs its generator

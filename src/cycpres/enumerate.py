@@ -14,8 +14,9 @@ first-visit order, columns scanned in declared generator order), so the
 result does not depend on how the enumeration went.
 
 Before HLT runs, relators are shortened modulo the power relators among
-them (``_reduce_powers``, the one place that decides a relator is a
-power).  ``_runs`` reads a word as its runs of g and G, freely reduced,
+them (``_reduce_runs``, the one place that decides a relator is a power,
+on relators read once into runs; ``_reduce_powers`` spells its result
+out).  ``_runs`` reads a word as its runs of g and G, freely reduced,
 each run's net exponent reduced into (-m/2, m/2] given g^m (so
 ``a^{n-1}`` becomes ``A`` given ``a^n``); a run that vanishes lets its
 neighbours merge or cancel.  For each generator g, the shortest relator
@@ -113,16 +114,20 @@ walk from coset 1 numbers the cosets in first-visit order, reading
 columns in declared order, which standardizes it; a run that gives up
 returns its live cosets in ascending order, labelled 0 to count - 1, and
 its overflow table is those rows.  The audit checks a complete table's
-columns before they are zipped into rows, a whole column at a time:
-range entries per column, one inverse pass per generator and its inverse
-(G[g[i]] == i makes g a bijection with inverse G), and each relator
-traced from all cosets at once, one list pass per maximal run g^e over
-the column of g^e, built by repeated squaring that keeps no square past
-the run.  The first inverse pass is the identity column, made of the
-table's own ints, so no list of new ints is built to compare with.
-``audit_table`` transposes a table's rows into the same column check.  A
-failure names the first offending entry in row order, or the first
-coset, as a row by row check would.
+columns before they are zipped into rows, a whole column at a time.
+The least entry of each generator's column g is checked, since a list
+reads a negative index from its end, and then one inverse pass per
+generator and its inverse column G reads G[g[i]] for every coset i.
+That pass reads every entry of g, so one at or past the count raises
+``IndexError``; and G[g[i]] == i makes g a bijection with inverse G, so
+every entry of G is read and is a coset.  Each relator is traced from all cosets at once, one
+list pass per maximal run g^e over the column of g^e, built by repeated
+squaring that keeps no square past the run.  The first inverse pass is
+the identity column, made of the table's own ints, so no list of new
+ints is built to compare with.  ``audit_table`` transposes a table's
+rows into the same column check.  A failure, ``IndexError`` included,
+is named by the row by row check: the first offending entry in row
+order, or the first coset.
 
 Presentation text format::
 
@@ -146,10 +151,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
 from math import gcd
-from operator import ne
+from operator import itemgetter, ne
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 WordInts = Tuple[int, ...]  # letters as nonzero signed 1-based generator numbers
+Runs = List[Tuple[int, int]]  # a word as (generator, nonzero net exponent) runs
 
 _TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?")
 
@@ -610,53 +616,85 @@ def _reduce_powers(
     a conjugate of g^m or G^m, or cancels a letter against its inverse,
     so the presented group is unchanged.
     """
+    powers, others = _reduce_runs(relators, [_runs(w, {}) for w in relators])
+    return powers, tuple(map(_spelled, others))
+
+
+def _reduce_runs(
+    words: Sequence[Optional[WordInts]], runs: List[Runs]
+) -> Tuple[Tuple[WordInts, ...], List[Runs]]:
+    """``_reduce_powers`` of relators read once as their free runs ``runs``.
+
+    The others come back as runs.  ``words[i]`` is the relator whose runs
+    are ``runs[i]``, or None where only its runs are known; a power
+    relator is kept as its word when that is one letter repeated, so a
+    caller's g^m is not spelled out again.  A pass reduces the others'
+    runs modulo the powers without reading their words again: the stack
+    in ``_merge`` gives the same runs from a word's runs as from its
+    letters.
+    """
     while True:
-        shortest: Dict[int, Tuple[int, WordInts]] = {}  # generator -> (index, power)
-        for i, w in enumerate(relators):
-            if w.count(w[0]) != len(w):  # not one letter repeated: read its runs
-                runs = _runs(w, {})
-                if len(runs) != 1:
-                    continue
-                g, e = runs[0]
-                w = (g if e > 0 else -g,) * abs(e)
-            g = abs(w[0])
-            if g not in shortest or len(w) < len(shortest[g][1]):
-                shortest[g] = (i, w)
-        period = {g: len(w) for g, (_, w) in shortest.items()}
-        kept = {i for i, _ in shortest.values()}
-        others: List[WordInts] = []
-        for i, w in enumerate(relators):
-            if i in kept:
-                continue
-            rel: List[int] = []
-            for g, e in _runs(w, period):
-                rel += [g] * e if e > 0 else [-g] * -e
-            if rel:
-                others.append(tuple(rel))
-        powers = tuple(w for _, w in sorted(shortest.values()))
-        if all(w.count(w[0]) != len(w) for w in others):
-            return powers, tuple(others)
-        relators = powers + tuple(others)
+        shortest: Dict[int, Tuple[int, int]] = {}  # generator -> (index, m)
+        for i, r in enumerate(runs):
+            if len(r) == 1:
+                g, e = r[0]
+                if g not in shortest or abs(e) < shortest[g][1]:
+                    shortest[g] = (i, abs(e))
+        period = {g: m for g, (_, m) in shortest.items()}
+        kept = dict(sorted(shortest.values()))  # index -> m, in relator order
+        powers = tuple(
+            words[i] if len(words[i] or ()) == m else _spelled(runs[i])
+            for i, m in kept.items()
+        )
+        others = [_merge(r, period) for i, r in enumerate(runs) if i not in kept]
+        others = [r for r in others if r]
+        if all(len(r) != 1 for r in others):
+            return powers, others
+        words = powers + (None,) * len(others)
+        runs = [runs[i] for i in kept] + others
 
 
-def _runs(word: WordInts, period: Dict[int, int]) -> List[Tuple[int, int]]:
+def _runs(word: WordInts, period: Dict[int, int]) -> Runs:
     """The word freely reduced modulo g^period[g], as (generator, exponent) runs.
 
     Each maximal run of one generator and its inverse counts whole, its
     net exponent reduced into (-m/2, m/2] when ``period`` gives an m; a
-    run that vanishes lets its neighbours merge, and cancel in turn.
+    run that vanishes lets its neighbours merge, and cancel in turn.  A
+    run of g's and G's is read at C speed, its net exponent being its
+    sum over g, and a word that is one letter repeated, such as g^m, at
+    once.
     """
-    runs: List[Tuple[int, int]] = []
-    for g, run in groupby(word, key=abs):
-        run = tuple(run)
-        e = len(run) - 2 * run.count(-g)
-        if runs and runs[-1][0] == g:
-            e += runs.pop()[1]
+    if word.count(word[0]) == len(word):
+        e = len(word) if word[0] > 0 else -len(word)
+        return _merge(((abs(word[0]), e),), period)
+    return _merge(((g, sum(run) // g) for g, run in groupby(word, key=abs)), period)
+
+
+def _merge(runs: Iterable[Tuple[int, int]], period: Dict[int, int]) -> Runs:
+    """Runs (generator, exponent), in order, multiplied out into ``_runs``'s form.
+
+    A stack: a run of the generator on top merges with it, each exponent
+    is reduced into (-m/2, m/2] when ``period`` gives an m, and a run that
+    vanishes uncovers the one below, which the next run may merge with.
+    Runs that spell a word give the word's own ``_runs``.
+    """
+    out: Runs = []
+    for g, e in runs:
+        if out and out[-1][0] == g:
+            e += out.pop()[1]
         if g in period:
             e = _reduced(e, period[g])
         if e:
-            runs.append((g, e))
-    return runs
+            out.append((g, e))
+    return out
+
+
+def _spelled(runs: Runs) -> WordInts:
+    """The word that ``runs`` spell out."""
+    word: List[int] = []
+    for g, e in runs:
+        word += [g] * e if e > 0 else [-g] * -e
+    return tuple(word)
 
 
 def _scan_list(
@@ -697,7 +735,10 @@ def relabel(pres: FinitePresentation):
     relator with no g left, such as G_6(2,4)'s W becoming y y y, is y's
     power relator.  Either way ``relabel`` gives the form it returns
     back unchanged.  No presentation is built, so letters taken from the
-    caller's checked words are not checked again.
+    caller's checked words are not checked again.  Each caller's relator
+    is read letter by letter once, into its ``_runs``: both reductions,
+    the syllables and the rewritten relators work on runs, and only the
+    words returned are spelled out.
 
     Applies to a presentation on two generators g and x in which, once
     relators are shortened by ``_reduce_powers``, g alone has a power
@@ -712,51 +753,70 @@ def relabel(pres: FinitePresentation):
     m/2 (beta and -beta give the same lengths), and for each beta only
     d = 0 and the d that make one run vanish are tried: between two such
     d every run's length is concave in d, and the d tried reach the least
-    length for each beta.  The fewest letters win; ties go to the
-    caller's form, then to the least beta, then to the least d tried, in
-    (-m/2, m/2].  The betas come by ascending length r of the first run
+    length for each beta.  The d that zeroes the run (p', c') is
+    -beta c' p', so runs with one c' p' mod m give one family of d, which
+    is tried once; in the lift's W every c' is -1, and a run p' = 0, or
+    two equal runs, repeat a family.  The fewest letters win; ties go to
+    the caller's form, then to the least beta, then to the least d
+    tried, in (-m/2, m/2], and the best so far is kept by one comparison
+    of lengths.  The betas come by ascending length r of the first run
     the d does not zero (``_units_near``) and stop at the first r above
     the best so far, so the search costs about the best length, not m.
     A subgroup generator g^e becomes b^{gcd(e, m)}, of the same subgroup.
     """
-    powers, rels = _reduce_powers(pres.relators)
-    unchanged = (powers, rels, pres.subgroup, 0, 1, 0)
+    powers, rels = _reduce_runs(pres.relators, [_runs(w, {}) for w in pres.relators])
+    unchanged = (powers, tuple(map(_spelled, rels)), pres.subgroup, 0, 1, 0)
     if len(pres.generators) != 2 or len(powers) != 1:
         return unchanged
     g, m = abs(powers[0][0]), len(powers[0])
     x = 3 - g
     if any(abs(c) != g for w in pres.subgroup for c in w):
         return unchanged
-    words = [_syllables(w, x) for w in rels]
+    words = [_syllables(r, x) for r in rels]
     runs = [(p, c) for syllables in words for _, p, c in syllables]
 
     def letters(beta: int, d: int) -> int:
-        return sum(min(t, m - t) for t in ((beta * p + c * d) % m for p, c in runs))
+        total = 0
+        for p, c in runs:
+            t = (beta * p + c * d) % m
+            total += t if 2 * t <= m else m - t
+        return total
 
-    # (letters, not as given, beta, d): the least wins
-    best = (letters(1, 0), False, 1, 0)
+    # the fewest letters, and the (beta, d) that gives them: None for the
+    # caller's form, which wins a tie, and otherwise the least tried
+    least, best = letters(1, 0), None
     # d = 0, or the d = -c' beta p' that zeroes a run (p', c'); either way
-    # each run (p, c) becomes beta q for a fixed q = p - c c' p'
-    for p2, c2 in [(0, 0)] + [(p, c) for p, c in runs if c]:
-        q = next((q for q in ((p - c * c2 * p2) % m for p, c in runs) if q), 0)
-        # the run beta q alone spells r letters: past the best, none can tie
+    # each run (p, c) becomes beta q for a fixed q = p - c c' p', so the
+    # runs with one c' p' mod m give one family of d, and a run with
+    # p' = 0 gives d = 0's
+    for cp in dict.fromkeys([0] + [c * p % m for p, c in runs if c]):
+        q = next((q for q in ((p - c * cp) % m for p, c in runs) if q), 0)
+        # the run beta q alone spells r letters: past the least, none can tie
         for r, beta in _units_near(q, m) if q else [(0, 1)]:
-            if r > best[0]:
+            if r > least:
                 break
-            d = _reduced(-c2 * beta * p2, m)
-            best = min(best, (letters(beta, d), (beta, d) != (1, 0), beta, d))
-    _, moved, beta, d = best
-    if not moved:
+            d = _reduced(-beta * cp, m)
+            length = letters(beta, d)
+            if length < least or (
+                length == least and best is not None and (beta, d) < best
+            ):
+                least, best = length, (beta, d)
+    if best is None:
         return unchanged
-    relators = []
-    for syllables in words:
-        word: List[int] = []
-        for s, p, c in syllables:
-            r = _reduced(beta * p + c * d, m)
-            word += [s * x] + ([g] * r if r > 0 else [-g] * -r)
-        relators.append(tuple(word))
+    beta, d = best
+    # each syllable x^s g^p becomes y^s b^r, as runs, freely reduced
+    relators = [
+        _merge(
+            [run for s, p, c in syllables
+             for run in ((x, s), (g, _reduced(beta * p + c * d, m)))],
+            {},
+        )
+        for syllables in words
+    ]
+    power = [(g, m if powers[0][0] > 0 else -m)]
+    powers, rels = _reduce_runs(powers + (None,) * len(relators), [power] + relators)
     subgroup = tuple((g,) * gcd(len(w) - 2 * w.count(-g), m) for w in pres.subgroup)
-    return (*_reduce_powers(powers + tuple(relators)), subgroup, g, beta, d)
+    return powers, tuple(map(_spelled, rels)), subgroup, g, beta, d
 
 
 def _units_near(q: int, m: int) -> Iterable[Tuple[int, int]]:
@@ -775,15 +835,16 @@ def _units_near(q: int, m: int) -> Iterable[Tuple[int, int]]:
                     yield r, beta
 
 
-def _syllables(word: WordInts, x: int) -> List[Tuple[int, int, int]]:
+def _syllables(runs: Runs, x: int) -> List[Tuple[int, int, int]]:
     """A relator's cyclic syllables x^s g^p, as (s, p, c), from its first x.
 
-    c = [next s = -1] - [s = +1] is how far the run p moves per unit of d
-    when x = y b^{-d}.  A g-run is read whole, by ``_runs``.
+    ``runs`` are the relator's ``_runs``, which alternate between x and
+    g, so its first x-run is its first or second.  c = [next s = -1] -
+    [s = +1] is how far the run p moves per unit of d when x = y b^{-d}.
     """
-    first = min(word.index(c) for c in (x, -x) if c in word)
+    first = 0 if runs[0][0] == x else 1
     out: List[List[int]] = []
-    for g, e in _runs(word[first:] + word[:first], {}):
+    for g, e in _merge(runs[first:] + runs[:first], {}):
         if g == x:
             out += [[1 if e > 0 else -1, 0] for _ in range(abs(e))]
         else:
@@ -917,30 +978,36 @@ def audit_table(table: CosetTable, pres: FinitePresentation):
 def _audit_columns(cols: List[List[int]], pres: FinitePresentation):
     """Audit a complete table given as its column lists, all of one length.
 
-    Entries are range checked per column.  The inverse check takes one
-    pass per generator, G[g[i]] == i: with every entry in range this
-    makes g injective on a finite set, so g is a bijection and G its
-    inverse.  The first generator's pass is the identity column, built
-    from the table's own int objects, so the later comparisons with it
-    go by pointer; it alone is checked against a ``range``, and no list
-    of new ints is made.  Each relator is traced from all cosets at
-    once, one pass per maximal run g^e over the column of g^e
-    (``_power``, which keeps no square past the run).  A failure names
-    the first offending entry (in row order) or coset.
+    Only the least entry of each generator's column g is range checked,
+    since a negative entry of g would read its inverse column G from the
+    end.  The inverse check takes one pass per generator, G[g[i]] == i,
+    which reads every entry of g, so an entry at or past the count
+    raises ``IndexError``.  Once it holds, g is injective on a finite
+    set, so g is a bijection and G its inverse, every entry of G is
+    read, and each is a coset.  The first
+    generator's pass is the identity column, built from the table's own
+    int objects, so the later comparisons with it go by pointer; it
+    alone is checked against a ``range``, and no list of new ints is
+    made.  Each relator is traced from all cosets at once, one pass per
+    maximal run g^e over the column of g^e (``_power``, which keeps no
+    square past the run).  A failure, or an ``IndexError``, goes to the
+    row by row check, which names the first offending entry (in row
+    order) or coset.
     """
     count = len(cols[0])
-    in_range = all(
-        0 <= min(col, default=0) and max(col, default=0) < count for col in cols
-    )
-    ident = list(map(cols[1].__getitem__, cols[0])) if in_range else []
-    if not (
-        in_range
-        and not any(map(ne, ident, range(count)))
-        and all(
-            list(map(cols[c + 1].__getitem__, cols[c])) == ident
-            for c in range(2, len(cols), 2)
-        )
-    ):
+    # a negative entry of g would be read from the end of G
+    sound = all(min(g, default=0) >= 0 for g in cols[::2])
+    if sound:
+        try:
+            pairs = iter(zip(cols[::2], cols[1::2]))
+            g, G = next(pairs)
+            ident = [G[v] for v in g]
+            sound = not any(map(ne, ident, range(count))) and all(
+                [G[v] for v in g] == ident for g, G in pairs
+            )
+        except IndexError:  # an entry of a generator column at or past count
+            sound = False
+    if not sound:
         _raise_first_bad_entry(tuple(zip(*cols)), count, len(cols))
     for r in pres.relators:
         cur = None
@@ -979,5 +1046,5 @@ def generator_permutation(table: CosetTable, gen: str) -> Tuple[int, ...]:
     if not table.complete:
         raise ValueError("generator_permutation needs a complete table")
     i = table.generators.index(gen)
-    return tuple(row[2 * i] for row in table.rows)
+    return tuple(map(itemgetter(2 * i), table.rows))
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -12,6 +13,7 @@ from cycpres.dynamics import (
 )
 from cycpres.enumerate import generator_permutation, todd_coxeter
 from cycpres.relative import lift, to_relative
+from cycpres.taxonomy import classify
 from cycpres.words import parse_word
 
 from conftest import restart_todd_coxeter
@@ -57,6 +59,40 @@ def test_fixed_counts_match_power_composition():
     for j in range(1, 5):
         cur = [perm[i] for i in cur]
         assert rep.fixed_counts[j] == sum(1 for i, img in enumerate(cur) if i == img)
+
+
+def test_orbit_reports_match_composed_permutations():
+    # every finite triple with 2 <= n <= 9: a^j is composed directly, and
+    # each coset's orbit length is the least j with a^j fixing it
+    reports = 0
+    for n in range(2, 10):
+        for k in range(n):
+            for l in range(n):
+                if not classify(n, k, l).finite:
+                    continue
+                W = to_relative(gnkl(n, k, l).word, n)
+                table = todd_coxeter(replace(lift(W, n), subgroup=((1,),)))
+                perm = [row[0] for row in table.rows]
+                rep = orbit_report(table, "a", n)
+                orbit = [0] * len(perm)
+                cur = list(range(len(perm)))
+                for j in range(1, n + 1):
+                    cur = [perm[i] for i in cur]
+                    fixed = [i for i, img in enumerate(cur) if i == img]
+                    if j < n:
+                        assert rep.fixed_counts[j] == len(fixed), (n, k, l, j)
+                    for i in fixed:
+                        orbit[i] = orbit[i] or j
+                assert list(rep.fixed_counts) == list(range(1, n))
+                # a cycle of length L holds L cosets of orbit length L
+                points = Counter(orbit)
+                cycles = sorted(L for L, c in points.items() for _ in range(c // L))
+                assert rep.cycle_type == tuple(cycles), (n, k, l)
+                assert rep.free_action_on_nonbase == all(
+                    length == n for length in orbit[1:]
+                ), (n, k, l)
+                reports += 1
+    assert reports == 177
 
 
 def test_fixed_points_monotone_under_power_multiples():

@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import random
 import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from math import gcd
 
 import pytest
 
@@ -227,6 +229,28 @@ def test_audit_rejects_every_single_entry_corruption(pres):
                     audit_table(bad, pres)
                 corruptions += 1
     assert corruptions == table.count * len(table.rows[0]) * (table.count - 1)
+
+
+@pytest.mark.parametrize("pres", [cyclic_pres(5), S3_OVER_S], ids=["C_5", "S_3/<s>"])
+def test_audit_names_every_single_out_of_range_entry(pres):
+    # entries at or past count, and negative ones, which a list would
+    # read from its end; the message is the row-order one either way
+    table = todd_coxeter(pres)
+    count = table.count
+    corruptions = 0
+    for i, row in enumerate(table.rows):
+        for c, old in enumerate(row):
+            for new in (count, count + 7, -1, -count - 1):
+                bad = _corrupted(table, lambda r: r[i].__setitem__(c, new))
+                # (old, c ^ 1) still points at i, which no longer points back
+                if (old, c ^ 1) < (i, c):
+                    message = rf"entry \({old},{c ^ 1}\) lacks an inverse entry"
+                else:
+                    message = rf"entry \({i},{c}\) out of range: {new}"
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    audit_table(bad, pres)
+                corruptions += 1
+    assert corruptions == 4 * count * len(table.rows[0])
 
 
 def test_audit_names_the_coset_a_relator_does_not_close_at():
@@ -947,12 +971,16 @@ def test_a_relabelled_form_is_already_shortened():
 RELABEL_DIGEST = "7a62fd68f780987a39fd47b02130beb2db0621075d47fccdd03ac1d410004404"
 
 
-def relabel_digest_cases():
-    """Every extension with 2 <= n <= 24, then 2,000 random two-generator cases."""
-    for n in range(2, 25):
+def extensions(nmax):
+    """The extension of every triple with 2 <= n <= nmax."""
+    for n in range(2, nmax + 1):
         for k in range(n):
             for l in range(n):
                 yield extension(n, k, l)
+
+
+def random_relabel_cases():
+    """2,000 random two-generator presentations (a, x : a^n, W) over <a> or <a^2>."""
     rng = random.Random(14)
     for _ in range(2000):
         n = rng.randint(2, 200)
@@ -962,6 +990,63 @@ def relabel_digest_cases():
         )
         sub = ((1,),) if rng.random() < 0.7 else ((1, 1),)
         yield replace(lift(RelativeWord.from_text(text), n), subgroup=sub)
+
+
+def relabel_digest_cases():
+    """Every extension with 2 <= n <= 24, then the 2,000 random cases."""
+    yield from extensions(24)
+    yield from random_relabel_cases()
+
+
+def letters_after_relabelling(relators, g, m):
+    """The letters of ``relators`` under g = b^beta, x = y b^{-d}, as a function.
+
+    Each relator is read letter by letter as cyclic syllables x^s g^p from
+    its first x; the run after x^s becomes beta p + d ([next s = -1] -
+    [s = +1]), which spells its distance from 0 modulo m in b's.
+    """
+    syllables = []
+    for w in relators:
+        first = next(i for i, c in enumerate(w) if abs(c) != g)
+        out = []
+        for c in w[first:] + w[:first]:
+            if abs(c) == g:
+                out[-1][1] += 1 if c > 0 else -1
+            else:
+                out.append([1 if c > 0 else -1, 0])
+        syllables += [
+            (p, (out[(j + 1) % len(out)][0] == -1) - (s == 1))
+            for j, (s, p) in enumerate(out)
+        ]
+
+    def letters(beta, d):
+        return sum(min((beta * p + c * d) % m, -(beta * p + c * d) % m)
+                   for p, c in syllables)
+
+    return letters
+
+
+def test_relabel_reaches_the_least_letters_over_every_beta_and_d():
+    # the digest pins what relabel returns; this checks that its search,
+    # which tries few d per beta and stops early, misses no shorter form
+    cases = 0
+    for pres in itertools.chain(extensions(16), random_relabel_cases()):
+        powers, others = _reduce_powers(pres.relators)
+        if len(powers) != 1 or len(powers[0]) > 40:
+            continue
+        g, m = abs(powers[0][0]), len(powers[0])
+        if any(abs(c) != g for w in pres.subgroup for c in w):
+            continue  # relabel leaves such a presentation as it is
+        letters = letters_after_relabelling(others, g, m)
+        least = min(
+            letters(beta, d)
+            for beta in range(1, max(m // 2, 1) + 1) if gcd(beta, m) == 1
+            for d in range(m)
+        )
+        *_, beta, d = relabel(pres)
+        assert letters(beta, d) == least, pres
+        cases += 1
+    assert cases == 1875
 
 
 def test_relabel_digest():
