@@ -29,26 +29,9 @@ reducing it again gives it back.  Each step multiplies a relator by a
 conjugate of g^{+-m} or cancels a letter against its inverse, which
 leaves the group and the subgroup unchanged; since standardized tables
 are canonical, the tables returned do not change either, only the work
-spent reaching them.  Completed tables are audited against the caller's
+spent reaching them (the finite extensions with n <= 12 define 43%
+fewer cosets).  Completed tables are audited against the caller's
 relators, never the shortened ones.
-
-The power relators kept go to HLT as a list of their own, and are
-scanned at each coset before the others, for deductions and
-coincidences only.  Filling the gap in g^m would define up to m - 1
-cosets that the other relators' scans often merge again, so the
-g-cycles grow instead one coset at a time, through the row fill of each
-coset HLT processes.  A scan fills a gap only once it has walked more
-letters than its word's fill limit: -1 for the other relators and the
-subgroup words, and for g^m the letters the other relators' scans read,
-since a longer g-path left open would be walked again from every coset
-on it, and (a : a^10000) would take time quadratic in m.  When the scan
-of g^m leaves a coset alive with nothing open, its g-cycle is closed,
-so one walk along it records the other cosets on it, and those are not
-scanned for g^m, since a closed path stays closed under definitions and
-coincidences.  Once every live row is full, one sweep scans each power
-relator at every live coset not yet recorded; it defines nothing, since
-rows are full, but it may merge cosets, and only after it is the table
-complete.
 
 In place of the other relators HLT scans cyclic conjugates
 (``_scan_list``): each becomes its distinct rotations that begin at a
@@ -56,23 +39,55 @@ letter of a generator with no power relator, such as the three
 rotations of ``x a^k x a^{l-k} x a^{-l}`` that begin at an x.  Cyclic
 conjugates have the same normal closure, so again only the work
 changes: a deduction that a rotation gives at once no longer waits for
-the scan from the relator's first letter.
+the scan from the relator's first letter, and those extensions define
+46% fewer cosets again (2,928,293 to 1,581,117).
+
+Every word HLT scans has one shape, ``(fwd, back, limit, record)``:
+the columns it reads forwards, the inverse columns it reads backwards,
+its fill limit and its record.  The power relators kept are scanned at
+each coset before the others (the order Havas, *Coset enumeration
+strategies*, ISSAC 1991, recommends), for deductions and coincidences
+only.  Filling the gap in g^m would define up to m - 1 cosets that the
+other relators' scans often merge again, so the g-cycles grow instead
+one coset at a time, through the row fill of each coset HLT processes.
+A scan fills a gap only once it has walked more letters than its word's
+fill limit: -1 for the other relators and the subgroup words, and for
+g^m the letters the other relators' scans read, since a longer g-path
+left open would be walked again from every coset on it, and
+(a : a^10000) would take time quadratic in m.  A power relator's record
+is the set of cosets known to lie on a closed g-cycle; the others' is
+None.  When the scan of g^m leaves a coset alive with nothing open, its
+g-cycle is closed, so one walk along it records the other cosets on
+it, and the scan skips those, since a closed path stays closed under
+definitions and coincidences.  A coset with no g entry is scanned all
+the same: that scan walks nothing, and a test that skipped it avoided
+none of the 198,336 power-relator scans of one pass over the finite
+extensions with n <= 12.  Once every live row is full, one sweep
+scans each power relator at every live coset not yet recorded; it
+defines nothing, since rows are full, but it may merge cosets, and only
+after it is the table complete.  It merged cosets in 40 of 3,000 seeded
+random presentations; (a, b : a^4, A B, b^5) over <a^2> reaches index 1
+only when it merges the last coset.
 
 One routine, ``_pass``, walks the live cosets from coset 1 for every
-pass of the run: each HLT pass, the lookahead and the closing sweep.  At
-each coset it scans the power relators that its records do not hold,
-then the other relators from a given coset on; an HLT pass also scans
-the subgroup words first, fills gaps and fills each row, and the other
-two define nothing.  Below the coset HLT was working on at the cap,
-every live row is full and has the other relators closed, and
-coincidences keep both, so lookahead scans them from there, and the
-closing sweep, which follows a pass that processed every coset, scans
-none of them.  If lookahead frees enough, the interrupted pass's
-records are dropped, the table is compressed so that HLT can go on, and
-HLT starts again at coset 1 with no records, scanning the other
-relators only from that point, renumbered; a restart would scan them
-below it to no effect, so the run defines what a restart does.  If it
-does not, the run gives up as it stands, uncompressed.
+pass of the run: each HLT pass, the lookahead and the closing sweep.
+At each live coset it makes one ``_scan``, of the power relators and
+then the other relators from a given coset on, and of the power
+relators alone below it; an HLT pass also scans the subgroup words
+first, fills gaps and fills each row, and the other two define
+nothing.  Below the coset HLT was working on at the cap, every live row
+is full and has the other relators closed, and coincidences keep both,
+so lookahead scans them from there, and the closing sweep, which
+follows a pass that processed every coset, scans none of them.  If
+lookahead frees enough, the table is compressed so that HLT can go on,
+which empties the records, since they name the old numbers, and HLT
+starts again at coset 1, scanning the other relators only from that
+point, renumbered; a restart would scan them below it to no effect, so
+the run defines what a restart does.  The power relators are scanned
+below it, since they may be left open there: of 589 seeded random runs
+that resumed after lookahead, 79 did not match a restart when they were
+left to the closing sweep.  If lookahead does not free enough, the run
+gives up as it stands, uncompressed.
 
 Before any of that, ``relabel`` picks new generators for presentations
 on two generators g and x in which g alone has a power relator g^m and
@@ -86,21 +101,28 @@ becomes x a x A x (beta = 5, d = -4).  This changes the generating set,
 not the group or the subgroup, so the table is the same, but the work
 is not: over the 297 finite extensions with n <= 12, HLT defines 280,304
 cosets against 1,598,277 for the caller's form (1.09 against 6.24 per
-unit of index).  The form picked is reduced again, so a relator left
-with no b, such as G_6(2,4)'s y y y, becomes y's power relator, and
-``relabel`` gives the form it returns back unchanged.
-The columns of g and x are then rebuilt from those of b and y as whole
-columns, g = b^beta and G = B^beta by repeated squaring and x = y b^{-d}
-and X = b^d Y by composition, with entry 0 still meaning undefined, so
-the one finish below serves both forms.
+unit of index).  The search stops at the first beta whose one run
+alone is longer than the best form so far, so it costs about the best
+length, not m: for G_n(300001,700003) at n = 10^6, which no
+relabelling shortens, it takes 0.4-0.6 s, against 2.4-3.7 s when each
+walk was bounded by the best length before it began.  The form picked
+is reduced again, so a relator left with no b, such as G_6(2,4)'s
+y y y, becomes y's power relator, and ``relabel`` gives the form it
+returns back unchanged.  The columns of g and x are then rebuilt from
+those of b and y as whole columns, g = b^beta and G = B^beta by
+repeated squaring and x = y b^{-d} and X = b^d Y by composition, with
+entry 0 still meaning undefined, so the one finish below serves both
+forms.
 
 The table is stored column-major: one list per generator and inverse
-column, indexed by coset, beside the union-find list.  Scans and HLT's
-row fill define cosets through one routine, which appends an empty
-entry to each column, and compression rewrites the columns in place.
-One scan routine serves every pass: it runs a list of words from one
-coset, filling gaps with new cosets in an HLT pass and only applying
-deductions and coincidences in lookahead and the closing sweep.
+column, indexed by coset, beside the union-find list, which took the
+traced peak of G_12(9,8)'s extension from 7.3 MiB, as lists per row,
+to 4.4 MiB.  Scans and HLT's row fill define cosets through one
+routine, which appends an empty entry to each column, and compression
+rewrites the columns in place.  One scan routine serves every pass: it
+runs a list of words from one coset, filling gaps with new cosets in an
+HLT pass and only applying deductions and coincidences in lookahead and
+the closing sweep.
 
 A finished table is built column by column, after the enumerator is
 dropped: once HLT ends, the union-find and the scan lists go, and a
@@ -120,14 +142,14 @@ reads a negative index from its end, and then one inverse pass per
 generator and its inverse column G reads G[g[i]] for every coset i.
 That pass reads every entry of g, so one at or past the count raises
 ``IndexError``; and G[g[i]] == i makes g a bijection with inverse G, so
-every entry of G is read and is a coset.  Each relator is traced from all cosets at once, one
-list pass per maximal run g^e over the column of g^e, built by repeated
-squaring that keeps no square past the run.  The first inverse pass is
-the identity column, made of the table's own ints, so no list of new
-ints is built to compare with.  ``audit_table`` transposes a table's
-rows into the same column check.  A failure, ``IndexError`` included,
-is named by the row by row check: the first offending entry in row
-order, or the first coset.
+every entry of G is read and is a coset.  Each relator is traced from
+all cosets at once, one list pass per maximal run g^e over the column
+of g^e, built by repeated squaring that keeps no square past the run.
+The first inverse pass is the identity column, made of the table's own
+ints, so no list of new ints is built to compare with.  ``audit_table``
+transposes a table's rows into the same column check.  A failure,
+``IndexError`` included, is named by the row by row check: the first
+offending entry in row order, or the first coset.
 
 Presentation text format::
 
@@ -356,27 +378,28 @@ class _Enumerator:
     them.  Outside a coincidence, live rows hold only live cosets: dead
     rows stay until ``_compress``, but every entry pointing at a dead
     coset has been cleared.  A word to scan is held as the columns it
-    reads forwards and the inverse columns it reads backwards;
-    ``_compress`` keeps the column lists, so these stay valid.
+    reads forwards and the inverse columns it reads backwards, its fill
+    limit (see ``_scan``) and its record; ``_compress`` keeps the column
+    lists, so the columns a word holds stay valid.
 
-    The power relators g^m come as a list of their own, ``powers``, and
-    the other relators as ``rels``; each word also carries its fill limit
-    (see ``_scan``), for g^m the letters ``rels`` read.  Each HLT pass
-    keeps one record per power relator, the cosets whose g-cycle is
-    known closed (a g^m = a).  ``_pass`` runs every pass: at each live
-    coset it scans the power relators whose records do not hold it and
-    then ``rels``; in an HLT pass the row fill then grows the g-cycles.
-    A closed path stays closed under definitions and coincidences, so a
-    record stays true.  Every pass starts at coset 1, and below
-    ``start``, where every live row is full and has ``rels`` closed, it
-    scans only the power relators.  Without fill, the same routine is
-    the lookahead at the cap, with the interrupted pass's records, and
-    once HLT ends the closing sweep that proves the power relators
-    closed.  ``_TableFull`` never leaves the class: ``_pass`` catches it
-    and returns the coset it was at.
+    Every word has that one shape.  The power relators g^m are
+    ``powers``, each with the letters the other relators read as its
+    fill limit and, as its record, the set of cosets known to lie on a
+    closed g-cycle (a g^m = a); ``words`` is ``powers`` followed by the
+    other relators, and those and the subgroup words ``subs`` have fill
+    limit -1 and record None.  A closed path stays closed under
+    definitions and coincidences, so a record stays true until
+    ``_compress`` renumbers the cosets and empties it.  ``_pass`` runs
+    every pass: it makes one ``_scan`` at each live coset, of ``words``
+    from ``start`` on and of ``powers`` below it, where every live row is
+    full and has the other relators closed; in an HLT pass the row fill
+    then grows the g-cycles.  Without fill, the same routine is the
+    lookahead at the cap and, once HLT ends, the closing sweep that
+    proves the power relators closed.  ``_TableFull`` never leaves the
+    class: ``_pass`` catches it and returns the coset it was at.
     """
 
-    __slots__ = ("max", "cols", "pairs", "powers", "rels", "subs", "p", "dropped")
+    __slots__ = ("max", "cols", "pairs", "powers", "words", "subs", "p", "dropped")
 
     def __init__(
         self,
@@ -389,20 +412,22 @@ class _Enumerator:
         self.max = max_cosets
         self.cols: List[List[int]] = [[0, 0] for _ in range(2 * ngens)]
         self.pairs = [(col, self.cols[c ^ 1]) for c, col in enumerate(self.cols)]
-        self.rels = [self._reads(w) for w in relators]
+        rels = [self._reads(w) for w in relators]
         self.subs = [self._reads(w) for w in subgroup]
-        reach = sum(len(fwd) for fwd, _, _ in self.rels)  # letters rels read
+        reach = sum(len(fwd) for fwd, *_ in rels)  # letters rels read
         # g^m reads g's columns m times, built from one letter
         self.powers = [
-            tuple(c * len(w) for c in self._reads(w[:1])[:2]) + (reach,) for w in powers
+            tuple(c * len(w) for c in self._reads(w[:1])[:2]) + (reach, set())
+            for w in powers
         ]
+        self.words = self.powers + rels
         self.p = [0, 1]
         self.dropped = 0  # dead rows removed by compressions
 
     def _reads(self, word: WordInts):
-        """A nonempty word's columns, read forwards and back, and fill limit -1."""
+        """A nonempty word's columns, read forwards and back; limit -1, record None."""
         fwd, back = zip(*[self.pairs[c] for c in _columns(word)])
-        return fwd, back, -1
+        return fwd, back, -1, None
 
     @property
     def defined(self) -> int:
@@ -463,17 +488,20 @@ class _Enumerator:
     def _scan(self, a: int, words, fill: bool):
         """Scan each word (as ``_reads`` gives it) from coset a, until a dies.
 
-        A scan that closes applies its coincidence, and one that is one
-        entry short applies it as a deduction.  A longer gap is filled
-        with new cosets when ``fill`` is set and the scan has walked more
-        letters than the word's fill limit, and left open otherwise.
-        Returns the gap j - i + 1 of the last word left open, or 0 if none was.
+        A word whose record holds a is skipped.  A scan that closes
+        applies its coincidence, and one that is one entry short applies
+        it as a deduction.  A longer gap is filled with new cosets when
+        ``fill`` is set and the scan has walked more letters than the
+        word's fill limit, and left open otherwise.  When a power word
+        closes and a lives, a's g-cycle is closed, and one walk along it
+        puts the other cosets on it into the word's record.
         """
         p = self.p
-        gap = 0
-        for fwd, back, limit in words:
+        for fwd, back, limit, record in words:
             if p[a] != a:
-                return gap
+                return
+            if record and a in record:
+                continue
             i, j = 0, len(fwd) - 1
             f = b = a
             while True:
@@ -501,10 +529,13 @@ class _Enumerator:
                 elif fill and len(fwd) - (j - i + 1) > limit:  # letters walked
                     self._define(fwd[i], back[i], f)
                     continue
-                else:
-                    gap = j - i + 1
                 break
-        return gap
+            if record is not None and j <= i and p[a] == a:  # closed at a
+                col = fwd[0]
+                c = col[a]
+                while c != a:
+                    record.add(c)
+                    c = col[c]
 
     def run(self) -> Optional[List[int]]:
         """Enumerate by HLT with lookahead; None once the table is complete.
@@ -512,61 +543,47 @@ class _Enumerator:
         Each HLT pass is ``_pass`` with fill.  If it ends, the closing
         pass proves the power relators closed.  If it hits the cap at
         coset a, the lookahead pass scans from a and the live cosets are
-        listed.  If it freed enough, the interrupted pass's records are
-        dropped and the table is compressed, so that HLT can go on.
-        Otherwise the run gives up and returns the live cosets in
-        ascending order, its table left as it stands, dead rows and all.
+        listed.  If it freed enough, the table is compressed, which
+        empties the records, so that HLT can go on.  Otherwise the run
+        gives up and returns the live cosets in ascending order, its
+        table left as it stands, dead rows and all.
         """
-        start = 1  # live cosets below start have rels closed and full rows
+        start = 1  # live cosets below start have full rows, other relators closed
         p = self.p
         while True:
-            # per power relator g^m: its scan, and the cosets on closed g-cycles
-            records = [((w,), set()) for w in self.powers]
-            a = self._pass(start, records, True)
+            a = self._pass(start, True)
             if a is None:
-                # every live row is full and has rels closed; the power
-                # relators left open are closed, or their cosets merged, here
-                self._pass(len(p), records, False)
+                # every live row is full and has the other relators closed;
+                # the power relators left open are closed, or merged, here
+                self._pass(len(p), False)
                 return None
             before = sum(1 for c in range(1, len(p)) if p[c] == c)
-            self._pass(a, records, False)
+            self._pass(a, False)
             live = [c for c in range(1, len(p)) if p[c] == c]
-            if len(live) < self.max and before - len(live) >= max(1, self.max // 100):
-                records = None  # freed before the rows are renumbered
+            if before - len(live) >= max(1, self.max // 100):
                 self._compress(live)
                 start, live = 1 + bisect_left(live, a), None  # old numbers freed
                 continue
             return live
 
-    def _pass(self, start: int, records, fill: bool) -> Optional[int]:
+    def _pass(self, start: int, fill: bool) -> Optional[int]:
         """One pass over the live cosets from coset 1: HLT, lookahead or closing.
 
-        At each live coset a it scans the power relators whose record in
-        ``records`` does not hold a; when g^m closes at a and a lives,
-        a's g-cycle is closed and the other cosets on it go into the
-        record.  It then scans ``rels`` if a >= ``start``, since below it
-        they are closed.  With ``fill`` set it is an HLT pass: it first
-        scans the subgroup words at coset 1, fills gaps as each word's
-        limit allows, and fills a's row after its scans.  Returns the
-        coset at which the cap was hit, or None.
+        At each live coset a it makes one ``_scan``: of every word if
+        a >= ``start``, and of the power relators alone below it, where
+        the others are closed.  With ``fill`` set it is an HLT pass: it
+        first scans the subgroup words at coset 1, fills gaps as each
+        word's limit allows, and fills a's row after its scan.  Returns
+        the coset at which the cap was hit, or None.
         """
-        p, rels = self.p, self.rels
+        p, words, powers = self.p, self.words, self.powers
         a = 1
         try:
             if fill:
                 self._scan(1, self.subs, True)
             while a < len(p):
                 if p[a] == a:
-                    for reads, record in records:
-                        if a in record or self._scan(a, reads, fill) or p[a] != a:
-                            continue
-                        col = reads[0][0][0]
-                        c = col[a]
-                        while c != a:
-                            record.add(c)
-                            c = col[c]
-                    if a >= start:
-                        self._scan(a, rels, fill)
+                    self._scan(a, words if a >= start else powers, fill)
                     if fill and p[a] == a:
                         for col, inv in self.pairs:
                             if not col[a]:
@@ -579,9 +596,12 @@ class _Enumerator:
     def _compress(self, live: List[int]):
         """Drop dead rows, renumbering the live cosets ``live`` 1, 2, ... in order.
 
-        HLT compresses only to go on.  The new numbers are one set of
-        ints, shared by the columns and the union-find.
+        HLT compresses only to go on.  The power relators' records name
+        old numbers, so they are emptied first.  The new numbers are one
+        set of ints, shared by the columns and the union-find.
         """
+        for *_, record in self.powers:
+            record.clear()
         p = self.p
         remap = [0] * len(p)
         for new, a in enumerate(live, 1):

@@ -744,21 +744,75 @@ def test_power_relator_reads_match_the_letter_by_letter_reads(pres):
     powers, others = _reduce_powers(pres.relators)
     enum = _Enumerator(len(pres.generators), powers, others, pres.subgroup, 100)
     # a power relator fills its gap only past a walk of more letters than
-    # the others read; every other word fills any gap
+    # the others read, and keeps a record of the cosets on closed g-cycles,
+    # empty before the run; every other word fills any gap and has none
     reach = sum(map(len, others))
+    assert enum.words[: len(enum.powers)] == enum.powers
     cases = (
-        (powers, enum.powers, reach),
-        (others, enum.rels, -1),
-        (pres.subgroup, enum.subs, -1),
+        (powers, enum.powers, reach, set()),
+        (others, enum.words[len(enum.powers):], -1, None),
+        (pres.subgroup, enum.subs, -1, None),
     )
-    for words, reads, limit in cases:
+    for words, reads, limit, empty in cases:
         assert len(reads) == len(words)
-        for word, (fwd, back, got_limit) in zip(words, reads):
+        for word, (fwd, back, got_limit, record) in zip(words, reads):
             letters = zip(*[enum.pairs[c] for c in _columns(word)])
             ids = [[id(col) for col in r] for r in letters]
             assert [[id(col) for col in r] for r in (fwd, back)] == ids
-            assert got_limit == limit
+            assert (got_limit, record) == (limit, empty)
+            assert type(record) is type(empty)
     assert powers
+
+
+def enumerator(pres, cap):
+    """The enumerator ``todd_coxeter`` runs on ``pres``, before its run."""
+    powers, relators, subgroup, *_ = relabel(pres)
+    scan = _scan_list(powers, relators)
+    return _Enumerator(len(pres.generators), powers, scan, subgroup, cap)
+
+
+def closed_records(enum):
+    """How many live cosets the power records hold; each must be on a closed cycle.
+
+    A recorded coset's g-cycle is closed, so its length divides m.
+    """
+    p, recorded = enum.p, 0
+    for fwd, _, _, record in enum.powers:
+        col, m = fwd[0], len(fwd)
+        for a in record:
+            if p[a] != a:
+                continue
+            c, length = col[a], 1
+            while c != a:
+                assert c and p[c] == c, a
+                c, length = col[c], length + 1
+            assert m % length == 0, (a, length)
+            recorded += 1
+    return recorded
+
+
+def test_power_records_hold_only_cosets_on_closed_cycles():
+    # G_13(0,1)'s extension at cap 8,600 compresses once and completes;
+    # its records after the run are those of the pass after compression
+    cases = [(pres, 1_000_000) for _, pres in SKIP_CASES]
+    cases.append((extension(13, 0, 1), 8600))
+    for pres, cap in cases:
+        enum = enumerator(pres, cap)
+        assert enum.run() is None
+        assert closed_records(enum) > 0, pres
+    assert enum.dropped > 0  # G_13(0,1) compressed
+
+
+def test_compression_empties_the_power_records():
+    # a run that gives up at its cap returns its live cosets uncompressed,
+    # with its records, which hold cosets on closed cycles of a table
+    # that is not complete; they name old numbers, so compression drops them
+    enum = enumerator(extension(13, 0, 1), 1000)
+    live = enum.run()
+    assert live is not None
+    assert closed_records(enum) > 0
+    enum._compress(live)
+    assert all(record == set() for *_, record in enum.powers)
 
 
 @pytest.mark.parametrize(
