@@ -60,6 +60,10 @@ print(f"enumerated with beta = {beta}, d = {d} as W =", E.word_text(relators[0])
 t = todd_coxeter(E)
 print(f"index {t.count}, {t.defined} cosets defined")
 
-# The table itself: columns are the generator actions on cosets.
+# The table itself is its columns: t.columns[2i] is generator i's action
+# on the cosets (numbered from 0) and t.columns[2i+1] its inverse's; dump
+# prints the generator columns one line per coset, numbered from 1, and
+# t.rows is the row-major view.
 t = todd_coxeter(FinitePresentation.make(("a",), ("a^4",)))
-print("\n" + t.dump())
+print("\na's column:", t.columns[0], " A's column:", t.columns[1])
+print(t.dump())

@@ -306,9 +306,13 @@ class RestartEnumerator:
 
 
 def restart_todd_coxeter(pres, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
-    """``todd_coxeter`` through the restart reference; complete tables audited."""
+    """``todd_coxeter`` through the restart reference; complete tables audited.
+
+    The reference is row-major; its rows are transposed into the columns
+    ``CosetTable`` holds.
+    """
     status, defined, rows = RestartEnumerator(pres, max_cosets).table()
-    table = CosetTable(pres.generators, rows, status, len(rows), defined)
+    table = CosetTable(pres.generators, tuple(zip(*rows)), status, defined)
     if table.complete:
         audit_table(table, pres)
     return table

@@ -174,16 +174,17 @@ def test_audit_passes_on_completed_tables():
 
 
 def _corrupted(table, edit):
-    rows = [list(r) for r in table.rows]
-    edit(rows)
-    return replace(table, rows=tuple(tuple(r) for r in rows))
+    """The table with ``edit`` applied to a list of its columns, as lists."""
+    cols = [list(col) for col in table.columns]
+    edit(cols)
+    return replace(table, columns=tuple(map(tuple, cols)))
 
 
 def test_audit_catches_corruption():
     pres = cyclic_pres(5)
     # C_5 over 1 is ((1, 2), (3, 0), (0, 4), (4, 1), (2, 3)); coset 2
     # loses its a-image 0, so the first bad entry is coset 0's A-entry
-    bad = _corrupted(todd_coxeter(pres), lambda r: r[2].__setitem__(0, r[1][0]))
+    bad = _corrupted(todd_coxeter(pres), lambda c: c[0].__setitem__(2, c[0][1]))
     with pytest.raises(ValueError, match=r"^entry \(0,1\) lacks an inverse entry$"):
         audit_table(bad, pres)
 
@@ -191,12 +192,11 @@ def test_audit_catches_corruption():
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda r: r.__setitem__(2, r[2][:1]), "row 2 has wrong width"),
-        (lambda r: r[0].__setitem__(1, 5), r"entry \(0,1\) out of range: 5"),
-        (lambda r: r[0].__setitem__(1, -1), r"entry \(0,1\) out of range: -1"),
-        # the first failure in row order: row 3's entry, not row 4's width
+        (lambda c: c[1].__setitem__(0, 5), r"entry \(0,1\) out of range: 5"),
+        (lambda c: c[1].__setitem__(0, -1), r"entry \(0,1\) out of range: -1"),
+        # of two entries out of range, the first in row order: (3,0), not (4,1)
         (
-            lambda r: (r.__setitem__(4, r[4][:1]), r[3].__setitem__(0, 5)),
+            lambda c: (c[1].__setitem__(4, -1), c[0].__setitem__(3, 5)),
             r"entry \(3,0\) out of range: 5",
         ),
     ],
@@ -206,6 +206,21 @@ def test_audit_names_the_first_bad_entry(edit, message):
     bad = _corrupted(todd_coxeter(pres), edit)
     with pytest.raises(ValueError, match=f"^{message}$"):
         audit_table(bad, pres)
+
+
+def test_audit_rejects_a_short_column():
+    pres = cyclic_pres(5)
+    bad = _corrupted(todd_coxeter(pres), lambda c: c[1].pop())
+    with pytest.raises(ValueError, match="^column 1 has 4 entries, not 5$"):
+        audit_table(bad, pres)
+
+
+def test_audit_rejects_the_wrong_number_of_columns():
+    pres = dihedral_pres(5)
+    table = todd_coxeter(pres)
+    for cols, count in ((table.columns[:2], 2), (table.columns + table.columns[:1], 5)):
+        with pytest.raises(ValueError, match=f"^table has {count} columns, not 4$"):
+            audit_table(replace(table, columns=cols), pres)
 
 
 S3_OVER_S = FinitePresentation.make(("r", "s"), ("r^3", "s^2", "r s r s"), ("s",))
@@ -220,7 +235,7 @@ def test_audit_rejects_every_single_entry_corruption(pres):
             for new in range(table.count):
                 if new == old:
                     continue
-                bad = _corrupted(table, lambda r: r[i].__setitem__(c, new))
+                bad = _corrupted(table, lambda cols: cols[c].__setitem__(i, new))
                 # (i, c) lost its inverse, and so did (old, c ^ 1), which
                 # still points at i; the first of the two in row order is named
                 first = min((i, c), (old, c ^ 1))
@@ -241,7 +256,7 @@ def test_audit_names_every_single_out_of_range_entry(pres):
     for i, row in enumerate(table.rows):
         for c, old in enumerate(row):
             for new in (count, count + 7, -1, -count - 1):
-                bad = _corrupted(table, lambda r: r[i].__setitem__(c, new))
+                bad = _corrupted(table, lambda cols: cols[c].__setitem__(i, new))
                 # (old, c ^ 1) still points at i, which no longer points back
                 if (old, c ^ 1) < (i, c):
                     message = rf"entry \({old},{c ^ 1}\) lacks an inverse entry"
@@ -307,6 +322,20 @@ def test_generator_permutation_rejects_incomplete():
 
 
 # -- overflow is first class -----------------------------------------------------
+
+def test_trace_stops_at_the_first_undefined_entry_of_an_overflow_table():
+    t = todd_coxeter(FinitePresentation.make(("a", "b"), ("a b A B",)), max_cosets=50)
+    assert t.status == "overflow"
+    letter = (1, -1, 2, -2)  # the letter each column reads
+    i, c = next((i, c) for i in range(t.count) for c in range(4) if t.columns[c][i] < 0)
+    j, e = next((j, e) for j in range(t.count) for e in range(4) if t.columns[e][j] == i)
+    # a letter after the gap whose column ends in a defined entry: read
+    # at -1, it would give a coset from the end of that column
+    d = next(d for d in range(4) if t.columns[d][-1] >= 0)
+    assert t.trace(j, (letter[e],)) == i
+    assert t.trace(i, (letter[c],)) == -1
+    assert t.trace(j, (letter[e], letter[c], letter[d])) == -1
+
 
 @ENUMERATORS
 def test_overflow_on_infinite_groups(enumerate_cosets):
@@ -494,6 +523,8 @@ def test_table_memory_of_a_large_extension():
     # overflow rows 0.48 MiB, not 0.30; compressing a run that gives up,
     # while the interrupted pass's records and a second set of new ints
     # were held, took 2.2x and 2.4x
+    # The table returned holds its columns, 0.55x of the bytes that
+    # table_bytes counts for its row view (1.87 MiB for G_15(1,6)).
     for triple, cap, status, count, bound in (
         ((12, 9, 8), 10**6, "complete", 4095, 2.5),
         ((15, 1, 6), 10**6, "complete", 32769, 2.5),
@@ -501,14 +532,17 @@ def test_table_memory_of_a_large_extension():
         ((13, 0, 1), 8600, "complete", 8193, 2.1),
     ):
         pres = extension(*triple)
+        t = None  # the previous table is freed before tracing starts
         tracemalloc.start()
         try:
             t = todd_coxeter(pres, max_cosets=cap)
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert (t.status, t.count) == (status, count), triple
         assert peak <= bound * table_bytes(t), (triple, peak, table_bytes(t))
+        if t.complete:
+            assert held <= 0.6 * table_bytes(t), (triple, held, table_bytes(t))
     assert t.defined == 8925  # G_13(0,1) went on past its cap after lookahead
 
 
@@ -970,15 +1004,14 @@ def test_audit_of_squared_runs_names_the_first_coset_a_letter_trace_does(gen):
     # column stays a bijection with its inverse, but W no longer closes
     swap = list(range(table.count))
     swap[1], swap[2] = 2, 1
-    rows = [list(r) for r in table.rows]
+    cols = list(table.columns)
     for c in (2 * gen, 2 * gen + 1):
-        for i in range(table.count):
-            rows[i][c] = swap[table.rows[swap[i]][c]]
-    bad = replace(table, rows=tuple(map(tuple, rows)))
+        cols[c] = tuple(swap[table.columns[c][swap[i]]] for i in range(table.count))
+    bad = replace(table, columns=tuple(cols))
 
     def trace(i, word):
         for g in word:
-            i = rows[i][2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1]
+            i = cols[2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1][i]
         return i
 
     first = [

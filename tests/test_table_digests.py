@@ -247,8 +247,10 @@ def test_capped_overflow_table_is_in_the_callers_generators(triple):
     n, k, l = triple
     table = todd_coxeter(extension(gnkl(n, k, l).word, n), max_cosets=3000)
     assert table.status == "overflow" and table.generators == ("a", "x")
-    for i, row in enumerate(table.rows):
-        assert len(row) == 4
-        for c, e in enumerate(row):
+    cols = table.columns
+    assert len(cols) == 4
+    for c, col in enumerate(cols):
+        assert len(col) == table.count
+        for i, e in enumerate(col):
             assert -1 <= e < table.count
-            assert e < 0 or table.rows[e][c ^ 1] == i, (i, c)
+            assert e < 0 or cols[c ^ 1][e] == i, (i, c)
