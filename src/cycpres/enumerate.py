@@ -225,11 +225,8 @@ def _parse_letters(
 
 
 def _letters_text(word: WordInts, generators: Sequence[str]) -> str:
-    out = []
-    for g in word:
-        name = generators[abs(g) - 1]
-        out.append(name if g > 0 else name[0].upper() + name[1:])
-    return " ".join(out)
+    names = (generators[abs(g) - 1] for g in word)
+    return " ".join(n if g > 0 else n[0].upper() + n[1:] for g, n in zip(word, names))
 
 
 @dataclass(frozen=True)
@@ -270,18 +267,14 @@ class FinitePresentation:
         All the words together may spell out at most ``MAX_WORD_LENGTH``
         letters.
         """
-        gens = tuple(generators)
-        left = MAX_WORD_LENGTH
-
-        def parse(texts: Iterable[str]) -> Tuple[WordInts, ...]:
-            nonlocal left
-            words = []
+        gens, left = tuple(generators), MAX_WORD_LENGTH
+        rels: List[WordInts] = []
+        subs: List[WordInts] = []
+        for words, texts in (rels, relators), (subs, subgroup):
             for text in texts:
                 words.append(_parse_letters(text, gens, left))
                 left -= len(words[-1])
-            return tuple(words)
-
-        return cls(gens, parse(relators), parse(subgroup))
+        return cls(gens, tuple(rels), tuple(subs))
 
     def word(self, text: str) -> WordInts:
         return _parse_letters(text, self.generators)
@@ -310,16 +303,12 @@ def parse_presentation(text: str) -> FinitePresentation:
             continue
         if line.startswith("gens:"):
             gens = line[len("gens:"):].split()
-            continue
-        if line == "rels:":
-            section = "rels"
-            continue
-        if line == "sub:":
-            section = "sub"
-            continue
-        if gens is None or section is None:
+        elif line in ("rels:", "sub:"):
+            section = line[:-1]
+        elif gens is None or section is None:
             raise ValueError(f"unexpected line before section header: {line!r}")
-        (rels if section == "rels" else subs).append(line)
+        else:
+            (rels if section == "rels" else subs).append(line)
     if gens is None:
         raise ValueError("missing 'gens:' header")
     return FinitePresentation.make(gens, rels, subs)
@@ -336,12 +325,27 @@ class CosetTable:
     is the row-major view, one tuple per coset in the same column order,
     built each time it is read.  Complete tables are standardized;
     overflow tables are partial and use -1 for undefined entries.
+
+    The constructor also takes ``rows`` in that view's layout, which then
+    stands in for ``columns``, and ``count``, which must be its length:
+    ``dataclasses.replace(table, rows=..., count=...)`` builds an edited
+    table from the published row view.
     """
 
     generators: Tuple[str, ...]
     columns: Tuple[Tuple[int, ...], ...]
     status: str  # "complete" | "overflow"
     defined: int  # total cosets defined during the run, dead ones included
+
+    def __init__(self, generators, columns, status, defined, rows=None, count=None):
+        if rows is not None:
+            columns = tuple(zip(*rows)) or ((),) * (2 * len(generators))
+        if count is not None and count != len(columns[0]):
+            raise ValueError(f"count {count} != {len(columns[0])} cosets in the columns")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "defined", defined)
 
     @property
     def complete(self) -> bool:
@@ -1048,7 +1052,7 @@ def _audit_columns(cols: Sequence[Sequence[int]], pres: FinitePresentation):
         for c, run in groupby(_columns(r)):
             col = _power(cols[c], sum(1 for _ in run))
             cur = col if cur is None else [col[i] for i in cur]
-        if list(cur) != ident:  # a one-letter relator's cur is its column, a tuple
+        if any(map(ne, cur, ident)):  # cur may be a column itself, a tuple
             i = next(i for i in range(count) if cur[i] != i)
             raise ValueError(
                 f"relator {pres.word_text(r)} does not close at coset {i}"

@@ -223,6 +223,21 @@ def test_audit_rejects_the_wrong_number_of_columns():
             audit_table(replace(table, columns=cols), pres)
 
 
+def test_a_table_rebuilt_from_its_row_view():
+    pres = dihedral_pres(5)
+    table = todd_coxeter(pres)
+    assert replace(table, rows=table.rows) == table
+    short = replace(table, rows=table.rows[:-1], count=table.count - 1)
+    assert short.columns == tuple(col[:-1] for col in table.columns)
+    assert short.count == table.count - 1
+    with pytest.raises(ValueError, match="^count 11 != 10 cosets in the columns$"):
+        replace(table, count=11)
+    # a short row cuts every column to its width, one column fewer
+    ragged = table.rows[:2] + (table.rows[2][:3],) + table.rows[3:]
+    with pytest.raises(ValueError, match="^table has 3 columns, not 4$"):
+        audit_table(replace(table, rows=ragged), pres)
+
+
 S3_OVER_S = FinitePresentation.make(("r", "s"), ("r^3", "s^2", "r s r s"), ("s",))
 
 
