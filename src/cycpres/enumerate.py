@@ -339,7 +339,7 @@ class CosetTable:
 
     def __init__(self, generators, columns, status, defined, rows=None, count=None):
         if rows is not None:
-            columns = tuple(zip(*rows)) or ((),) * (2 * len(generators))
+            columns = tuple(zip(*rows))
         if count is not None and count != len(columns[0]):
             raise ValueError(f"count {count} != {len(columns[0])} cosets in the columns")
         object.__setattr__(self, "generators", generators)
@@ -1052,7 +1052,8 @@ def _audit_columns(cols: Sequence[Sequence[int]], pres: FinitePresentation):
         for c, run in groupby(_columns(r)):
             col = _power(cols[c], sum(1 for _ in run))
             cur = col if cur is None else [col[i] for i in cur]
-        if any(map(ne, cur, ident)):  # cur may be a column itself, a tuple
+        # a one-letter relator's cur is its column, a tuple, which no list equals
+        if cur != ident and list(cur) != ident:
             i = next(i for i in range(count) if cur[i] != i)
             raise ValueError(
                 f"relator {pres.word_text(r)} does not close at coset {i}"
